@@ -508,6 +508,11 @@ let scenario_cmd =
         (List.length (Topology.Spec.sdn_asns spec))
         (Framework.Scenario.title scenario)
         (List.length (Framework.Scenario.steps scenario));
+      let history =
+        Option.map
+          (fun _ -> Framework.Convergence.record_history (Framework.Experiment.network exp))
+          timeline
+      in
       let log = Framework.Scenario.run exp scenario in
       List.iter
         (fun (time, action) ->
@@ -526,16 +531,12 @@ let scenario_cmd =
           Fmt.pr "collector dump written to %s@." path)
         dump;
       if show_state then print_string (Framework.Looking_glass.network_state network);
-      (match timeline with
-      | Some prefix_str -> (
+      (match (timeline, history) with
+      | Some prefix_str, Some history -> (
         match Net.Ipv4.prefix_of_string prefix_str with
         | None -> Fmt.pr "bad --timeline prefix %S@." prefix_str
-        | Some prefix ->
-          let entries =
-            Framework.Logparse.of_trace (Engine.Sim.trace (Framework.Experiment.sim exp))
-          in
-          print_string (Framework.Visualize.timeline entries prefix))
-      | None -> ());
+        | Some prefix -> print_string (Framework.Visualize.timeline history prefix))
+      | _ -> ());
       finish_telemetry tele;
       Ok ()
     in
@@ -595,42 +596,25 @@ let metrics_cmd =
 
 (* Chrome trace-event files are a single JSON object with a "traceEvents"
    array; JSONL exports are one object per line.  Both are checked with
-   the same self-contained JSON validator the metrics formats use. *)
+   the JSON parser the metrics formats use. *)
 let validate_trace_file path =
   let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
+  let text = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  let is_jsonl = Filename.check_suffix (String.lowercase_ascii path) ".jsonl" in
-  if is_jsonl then begin
-    let lines =
-      String.split_on_char '\n' text |> List.filter (fun l -> String.trim l <> "")
-    in
-    let rec go i = function
-      | [] -> Ok (List.length lines)
-      | l :: rest ->
-        if Framework.Telemetry.json_valid (String.trim l) then go (i + 1) rest
-        else Error (Fmt.str "line %d: invalid JSON" i)
-    in
-    go 1 lines
-  end
-  else begin
-    let body = String.trim text in
-    if not (Framework.Telemetry.json_valid body) then Error "invalid JSON"
-    else begin
-      (* Count the events so "OK" reports something useful. *)
-      let occurrences sub =
-        let n = String.length sub and total = ref 0 in
-        for i = 0 to String.length body - n do
-          if String.sub body i n = sub then incr total
-        done;
-        !total
-      in
-      if occurrences "\"traceEvents\"" = 0 then
-        Error "missing \"traceEvents\" array (not a Chrome trace-event file)"
-      else Ok (occurrences "\"ph\":")
-    end
-  end
+  if Filename.check_suffix (String.lowercase_ascii path) ".jsonl" then
+    Framework.Telemetry.validate Framework.Telemetry.Jsonl text
+  else
+    let not_chrome = Error "missing \"traceEvents\" array (not a Chrome trace-event file)" in
+    match Engine.Json.parse text with
+    | exception Engine.Json.Parse_error msg -> Error ("invalid JSON: " ^ msg)
+    | Engine.Json.Obj top -> (
+      match List.assoc_opt "traceEvents" top with
+      | Some (Engine.Json.Arr events) ->
+        (* Count the events so "OK" reports something useful. *)
+        let is_event = function Engine.Json.Obj e -> List.mem_assoc "ph" e | _ -> false in
+        Ok (List.length (List.filter is_event events))
+      | _ -> not_chrome)
+    | _ -> not_chrome
 
 let trace_cmd =
   let run topo sdn event seed mrai out critical check =

@@ -68,13 +68,14 @@ let () =
   Fmt.pr "withdrawal: converged in %.2f s (%d changes)@."
     (Framework.Experiment.convergence_seconds m_down)
     m_down.Framework.Convergence.changes;
-  (* log-file analysis, as the framework's tooling would do it *)
-  let entries =
-    Framework.Logparse.of_trace (Engine.Sim.trace (Framework.Experiment.sim exp))
+  (* the routers that explored the most paths over the whole run *)
+  Fmt.pr "@.busiest routers (best-route changes):@.";
+  let by_router =
+    Net.Asn.Map.bindings (Framework.Network.routers (Framework.Experiment.network exp))
+    |> List.map (fun (asn, r) -> (asn, (Bgp.Router.stats r).Bgp.Router.best_changes))
   in
-  Fmt.pr "@.trace: %d log lines; busiest nodes:@." (List.length entries);
-  let by_node = Framework.Logparse.by_node entries in
   let top =
-    List.sort (fun (_, a) (_, b) -> Int.compare b a) by_node |> List.filteri (fun i _ -> i < 5)
+    List.stable_sort (fun (_, a) (_, b) -> Int.compare b a) by_router
+    |> List.filteri (fun i _ -> i < 5)
   in
-  List.iter (fun (node, count) -> Fmt.pr "  %-12s %d@." node count) top
+  List.iter (fun (asn, count) -> Fmt.pr "  %-12s %d@." (Net.Asn.to_string asn) count) top

@@ -146,7 +146,8 @@ val to_jsonl : t -> string
 (** One JSON object per span per line. *)
 
 val render_line : span -> string
-(** Human-readable one-liner, {!Trace.render_line}-style. *)
+(** Human-readable one-liner: fire time, span and parent ids,
+    category, node, label and queueing wait. *)
 
 val flight_lines : t -> string list
 (** The retained spans rendered oldest first — the flight-recorder dump

@@ -40,7 +40,6 @@ type t = {
   mutable executed : int;
   queue : event Heap.t;
   rng : Rng.t;
-  trace : Trace.t;
   causal : Causal.t;
   metrics : Metrics.t;
   mutable profiling : bool;
@@ -83,7 +82,7 @@ let dummy_event =
     action = ignore;
   }
 
-let create ?(order = Seq) ?(seed = 0) ?(trace = true) ?(causal = Causal.Disabled)
+let create ?(order = Seq) ?(seed = 0) ?(causal = Causal.Disabled)
     ?(profiling = false) () =
   let metrics = Metrics.create () in
   let cmp = match order with Seq -> compare_event | Canonical -> compare_event_canonical in
@@ -94,7 +93,6 @@ let create ?(order = Seq) ?(seed = 0) ?(trace = true) ?(causal = Causal.Disabled
     executed = 0;
     queue = Heap.create ~capacity:1024 ~dummy:dummy_event cmp;
     rng = Rng.create seed;
-    trace = Trace.create ~enabled:trace ();
     causal = Causal.create ~mode:causal ~seed ();
     metrics;
     profiling;
@@ -112,8 +110,6 @@ let now t = t.now
 let order t = t.order
 
 let rng t = t.rng
-
-let trace t = t.trace
 
 let causal t = t.causal
 
@@ -271,8 +267,3 @@ let rec next_event_time t =
     note_reaped t;
     next_event_time t
   | Some ev -> Some ev.fire_at
-
-let log t ~node ~category ?level msg =
-  Trace.record t.trace ~time:t.now ~node ~category ?level msg
-
-let logf t ~node ~category ?level fmt = Fmt.kstr (log t ~node ~category ?level) fmt

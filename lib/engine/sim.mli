@@ -4,7 +4,7 @@
     {!Rng} this makes runs bit-reproducible for a given seed.
 
     Domain-safety: a sim — and everything reachable from it ({!rng},
-    {!trace}, {!metrics}, queued events) — is owned by exactly one
+    {!causal}, {!metrics}, queued events) — is owned by exactly one
     domain at a time.  {!Pool}-driven sweeps respect this by building a
     fresh sim inside each task; the one accidental-sharing hazard is
     capturing a [t] (or its registry) in a closure submitted to the
@@ -36,7 +36,6 @@ val default_key : key
 val create :
   ?order:order ->
   ?seed:int ->
-  ?trace:bool ->
   ?causal:Causal.mode ->
   ?profiling:bool ->
   unit ->
@@ -52,11 +51,9 @@ val now : t -> Time.t
 val rng : t -> Rng.t
 (** The root RNG; split per subsystem rather than drawing directly. *)
 
-val trace : t -> Trace.t
-
 val causal : t -> Causal.t
 (** The per-simulation causal span store (one per sim, same domain
-    ownership rule as {!trace} and {!metrics}).  Every scheduled event
+    ownership rule as {!metrics}).  Every scheduled event
     opens a span parented under the event executing at schedule time. *)
 
 val annotate : t -> category:string -> ?node:string -> ?label:string -> unit -> unit
@@ -136,13 +133,3 @@ val profile : t -> profile_row list
 (** Sorted by category; empty unless profiling was enabled. *)
 
 val pp_profile : Format.formatter -> t -> unit
-
-val log : t -> node:string -> category:string -> ?level:Trace.level -> string -> unit
-
-val logf :
-  t ->
-  node:string ->
-  category:string ->
-  ?level:Trace.level ->
-  ('a, Format.formatter, unit, unit) format4 ->
-  'a

@@ -23,6 +23,16 @@ type t = {
 
 let bump_map time prefix m = Pm.add prefix time m
 
+(* The two sources of route changes: every legacy router's Loc-RIB and
+   every controller member decision. *)
+let subscribe network ~on_best ~on_decision =
+  Net.Asn.Map.iter
+    (fun asn router -> Bgp.Router.subscribe_best_change router (on_best asn))
+    (Network.routers network);
+  Option.iter
+    (fun ctrl -> Cluster_ctl.Controller.subscribe_decision_change ctrl on_decision)
+    (Network.controller network)
+
 let attach network =
   let t =
     {
@@ -51,13 +61,9 @@ let attach network =
     t.control_changes <-
       Pm.update prefix (fun c -> Some (1 + Option.value c ~default:0)) t.control_changes
   in
-  Net.Asn.Map.iter
-    (fun _ router -> Bgp.Router.subscribe_best_change router (fun prefix _ -> note prefix))
-    (Network.routers network);
-  (match Network.controller network with
-  | Some ctrl ->
-    Cluster_ctl.Controller.subscribe_decision_change ctrl (fun prefix _ _ -> note prefix)
-  | None -> ());
+  subscribe network
+    ~on_best:(fun _ prefix _ -> note prefix)
+    ~on_decision:(fun prefix _ _ -> note prefix);
   t
 
 (* Refresh collector-derived timestamps (pull, not push).  Reads the
@@ -144,3 +150,63 @@ let pp_measurement ppf m =
     Engine.Time.pp m.settled_at
     (Fmt.option ~none:(Fmt.any "none") Engine.Time.pp_span)
     m.convergence m.changes
+
+(* --- Route-change history ------------------------------------------------
+   The analogue of the original framework's log analysis, on typed
+   values: each change keeps the new route or decision and is formatted
+   only when rendered.  Opt-in — [attach] records no history, so a run
+   that never asks for one does not pay for it. *)
+
+type change =
+  | Best of Net.Asn.t * Bgp.Route.t option
+  | Decision of Net.Asn.t * Cluster_ctl.As_graph.decision option
+
+type route_change = { time : Engine.Time.t; prefix : Net.Ipv4.prefix; change : change }
+
+type history = { mutable by_prefix : route_change list Pm.t (* newest first *) }
+
+let record_history network =
+  let h = { by_prefix = Pm.empty } in
+  let sim = Network.sim network in
+  let add prefix change =
+    let c = { time = Engine.Sim.now sim; prefix; change } in
+    h.by_prefix <- Pm.update prefix (fun l -> Some (c :: Option.value l ~default:[])) h.by_prefix
+  in
+  subscribe network
+    ~on_best:(fun asn prefix route -> add prefix (Best (asn, route)))
+    ~on_decision:(fun prefix member d -> add prefix (Decision (member, d)));
+  h
+
+let route_changes h prefix = List.rev (Option.value (Pm.find_opt prefix h.by_prefix) ~default:[])
+
+(* Path-exploration rounds: best-route changes for a prefix cluster into
+   MRAI-spaced waves; we count the clusters, splitting wherever the gap
+   between consecutive changes exceeds [round_gap] (about half the
+   default MRAI).  This turns the mechanism behind Fig. 2 — "convergence
+   time = rounds x MRAI" — into a measurable quantity. *)
+let round_gap = Engine.Time.sec 10
+
+let exploration_rounds changes =
+  let rec count rounds prev = function
+    | [] -> rounds
+    | c :: rest ->
+      let rounds = if Engine.Time.(c.time > add prev round_gap) then rounds + 1 else rounds in
+      count rounds c.time rest
+  in
+  match changes with [] -> 0 | c :: rest -> count 1 c.time rest
+
+let pp_route_change ppf c =
+  let seconds = float_of_int (Engine.Time.to_us c.time) /. 1e6 in
+  match c.change with
+  | Best (asn, Some route) ->
+    Fmt.pf ppf "%.3fs info %a[bgp]: bestpath %a -> [%a]" seconds Net.Asn.pp asn
+      Net.Ipv4.pp_prefix c.prefix Bgp.Attrs.pp_path
+      (Bgp.Attrs.as_path (Bgp.Route.attrs route))
+  | Best (asn, None) ->
+    Fmt.pf ppf "%.3fs info %a[bgp]: bestpath %a -> unreachable" seconds Net.Asn.pp asn
+      Net.Ipv4.pp_prefix c.prefix
+  | Decision (member, decision) ->
+    Fmt.pf ppf "%.3fs info controller[controller]: decision %a %a: %a" seconds
+      Net.Ipv4.pp_prefix c.prefix Net.Asn.pp member
+      (Fmt.option ~none:(Fmt.any "unreachable") Cluster_ctl.As_graph.pp_decision)
+      decision

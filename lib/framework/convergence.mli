@@ -49,3 +49,35 @@ val wait_quiet :
     (keepalives, endless probe streams). *)
 
 val pp_measurement : Format.formatter -> measurement -> unit
+
+(** {1 Route-change history}
+
+    Every best-route change and controller decision for each prefix, as
+    typed values formatted only when rendered — the framework's
+    log-analysis view.  Recording is opt-in: {!attach} keeps none. *)
+
+type change =
+  | Best of Net.Asn.t * Bgp.Route.t option
+      (** a legacy router's new Loc-RIB best route ([None] = unreachable) *)
+  | Decision of Net.Asn.t * Cluster_ctl.As_graph.decision option
+      (** the controller's new decision for a member *)
+
+type route_change = { time : Engine.Time.t; prefix : Net.Ipv4.prefix; change : change }
+
+type history
+
+val record_history : Network.t -> history
+(** Start recording from now on, from the same sources as {!attach}. *)
+
+val route_changes : history -> Net.Ipv4.prefix -> route_change list
+(** The prefix's recorded changes, in time order. *)
+
+val exploration_rounds : route_change list -> int
+(** Count the MRAI-spaced waves of a prefix's time-ordered changes
+    (clusters split at gaps above 10 s, about half the default MRAI) —
+    the "rounds" whose count times the MRAI is Fig. 2's convergence
+    time. *)
+
+val pp_route_change : Format.formatter -> route_change -> unit
+(** ["0.207s info controller[controller]: decision P AS65004: ..."] or
+    ["1.990s info AS65003[bgp]: bestpath P -> [AS65002 AS65001]"]. *)

@@ -107,120 +107,6 @@ let finish t =
    Self-contained checks used by `hybridsim metrics --check` and the smoke
    target, so emitted files are verified without external tooling. *)
 
-(* Minimal JSON syntax checker (values, objects, arrays; no number
-   pedantry beyond the grammar we emit). *)
-let json_valid line =
-  let len = String.length line in
-  let pos = ref 0 in
-  let peek () = if !pos < len then Some line.[!pos] else None in
-  let advance () = incr pos in
-  let fail = ref false in
-  let expect c = match peek () with Some x when x = c -> advance () | _ -> fail := true in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\r' | '\n') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let parse_string () =
-    expect '"';
-    let rec chars () =
-      if !fail then ()
-      else
-        match peek () with
-        | None -> fail := true
-        | Some '"' -> advance ()
-        | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') ->
-            advance ();
-            chars ()
-          | Some 'u' ->
-            advance ();
-            for _ = 1 to 4 do
-              match peek () with
-              | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-              | _ -> fail := true
-            done;
-            chars ()
-          | _ -> fail := true)
-        | Some _ ->
-          advance ();
-          chars ()
-    in
-    chars ()
-  in
-  let parse_number () =
-    let any = ref false in
-    let rec digits () =
-      match peek () with
-      | Some ('0' .. '9' | '-' | '+' | '.' | 'e' | 'E') ->
-        any := true;
-        advance ();
-        digits ()
-      | _ -> ()
-    in
-    digits ();
-    if not !any then fail := true
-  in
-  let literal word =
-    String.iter (fun c -> expect c) word
-  in
-  let rec parse_value () =
-    if !fail then ()
-    else begin
-      skip_ws ();
-      match peek () with
-      | Some '"' -> parse_string ()
-      | Some '{' -> parse_object ()
-      | Some '[' -> parse_array ()
-      | Some 't' -> literal "true"
-      | Some 'f' -> literal "false"
-      | Some 'n' -> literal "null"
-      | Some ('-' | '0' .. '9') -> parse_number ()
-      | _ -> fail := true
-    end;
-    skip_ws ()
-  and parse_object () =
-    expect '{';
-    skip_ws ();
-    if peek () = Some '}' then advance ()
-    else begin
-      let rec members () =
-        skip_ws ();
-        parse_string ();
-        skip_ws ();
-        expect ':';
-        parse_value ();
-        match peek () with
-        | Some ',' ->
-          advance ();
-          members ()
-        | _ -> expect '}'
-      in
-      members ()
-    end
-  and parse_array () =
-    expect '[';
-    skip_ws ();
-    if peek () = Some ']' then advance ()
-    else begin
-      let rec elems () =
-        parse_value ();
-        match peek () with
-        | Some ',' ->
-          advance ();
-          elems ()
-        | _ -> expect ']'
-      in
-      elems ()
-    end
-  in
-  parse_value ();
-  (not !fail) && !pos = len
-
 let non_empty_lines text =
   String.split_on_char '\n' text |> List.filter (fun l -> String.trim l <> "")
 
@@ -234,12 +120,11 @@ let validate format text =
     let lines = non_empty_lines text in
     let rec check i = function
       | [] -> Ok (List.length lines)
-      | l :: rest ->
-        if not (json_valid (String.trim l)) then
-          Error (Fmt.str "line %d: invalid JSON" i)
-        else if not (String.length l >= 2 && l.[0] = '{') then
-          Error (Fmt.str "line %d: not a JSON object" i)
-        else check (i + 1) rest
+      | l :: rest -> (
+        match Engine.Json.parse l with
+        | Engine.Json.Obj _ -> check (i + 1) rest
+        | _ -> Error (Fmt.str "line %d: not a JSON object" i)
+        | exception Engine.Json.Parse_error msg -> Error (Fmt.str "line %d: invalid JSON (%s)" i msg))
     in
     check 1 lines
   | Csv -> (

@@ -38,10 +38,6 @@ val finish : t -> (int, string) result
     Prometheus output contains only the final snapshot (exposition format
     is point-in-time); JSONL and CSV contain the whole timeline. *)
 
-val json_valid : string -> bool
-(** The minimal JSON syntax check behind JSONL validation (shared by
-    `hybridsim trace --check` for Chrome trace-event output). *)
-
 val validate : format -> string -> (int, string) result
 (** Check [text] parses as [format]; [Ok n] is the number of samples
     (Prometheus), lines (JSONL) or rows (CSV) checked. *)

@@ -91,11 +91,10 @@ let series_to_ascii ?(width = 56) (s : Experiments.series) =
     s.Experiments.points;
   Buffer.contents buf
 
-(* Route-change timeline for a prefix, from parsed log entries. *)
-let timeline entries prefix =
+(* Route-change timeline for a prefix, one rendered change per line. *)
+let timeline history prefix =
   let buf = Buffer.create 512 in
   List.iter
-    (fun (e : Logparse.entry) ->
-      Buffer.add_string buf (Fmt.str "%a\n" Logparse.pp_entry e))
-    (Logparse.route_changes entries prefix);
+    (fun c -> Buffer.add_string buf (Fmt.str "%a\n" Convergence.pp_route_change c))
+    (Convergence.route_changes history prefix);
   Buffer.contents buf

@@ -10,5 +10,5 @@ val spec_to_dot : ?with_infrastructure:bool -> Topology.Spec.t -> string
 val series_to_ascii : ?width:int -> Experiments.series -> string
 (** One boxplot row per sweep point over a shared scale. *)
 
-val timeline : Logparse.entry list -> Net.Ipv4.prefix -> string
-(** Rendered route-change history for a prefix. *)
+val timeline : Convergence.history -> Net.Ipv4.prefix -> string
+(** Rendered route-change history for a prefix, one change per line. *)

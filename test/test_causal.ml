@@ -183,12 +183,12 @@ let test_exports_are_valid_json () =
   ignore (Sim.run sim);
   let c = Sim.causal sim in
   Alcotest.(check bool) "chrome export is valid JSON" true
-    (Framework.Telemetry.json_valid (Causal.to_chrome c));
+    (Engine.Json.valid (Causal.to_chrome c));
   String.split_on_char '\n' (Causal.to_jsonl c)
   |> List.filter (fun l -> String.trim l <> "")
   |> List.iter (fun l ->
          Alcotest.(check bool) "jsonl line is valid JSON" true
-           (Framework.Telemetry.json_valid l))
+           (Engine.Json.valid l))
 
 (* Cancelled events leave their spans open; exporters must skip them. *)
 let test_cancelled_events_not_exported () =

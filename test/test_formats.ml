@@ -202,6 +202,10 @@ let test_validate_malformed () =
   check_invalid "bare value line" (Tel.validate Tel.Jsonl "{\"a\":1}\nnot json\n");
   check_invalid "trailing garbage" (Tel.validate Tel.Jsonl "{\"a\":1} extra");
   check_invalid "bad escape" (Tel.validate Tel.Jsonl "{\"a\":\"\\x\"}");
+  (* Malformed numbers. *)
+  List.iter
+    (fun line -> check_invalid ("bad number " ^ line) (Tel.validate Tel.Jsonl line))
+    [ "{\"a\": 1-2}"; "{\"a\": -}"; "{\"a\": 1e}" ];
   Alcotest.(check bool) "non-object jsonl line rejected" true
     (Result.is_error (Tel.validate Tel.Jsonl "[1,2,3]"));
   (* Prometheus parse errors. *)
@@ -212,6 +216,25 @@ let test_validate_malformed () =
   (match Tel.validate Tel.Jsonl "{\"a\":1}\n{\"b\":[true,null]}\n" with
   | Ok n -> Alcotest.(check int) "jsonl lines counted" 2 n
   | Error e -> Alcotest.fail ("valid jsonl rejected: " ^ e))
+
+(* The one JSON reader: numbers follow the JSON grammar exactly, and what
+   the writer emits parses back to the same tree. *)
+let test_json_parse () =
+  let module J = Engine.Json in
+  List.iter
+    (fun (text, v) -> Alcotest.(check bool) ("parses " ^ text) true (J.parse text = v))
+    [
+      ("0", J.Num 0.0);
+      ("-0.5e+3", J.Num (-500.0));
+      ("1E2", J.Num 100.0);
+      (" [true, null] ", J.Arr [ J.Bool true; J.Null ]);
+      ("\"\\u0041\\u00e9\"", J.Str "A\xc3\xa9");
+    ];
+  List.iter
+    (fun text -> Alcotest.(check bool) ("rejects " ^ text) false (J.valid text))
+    [ "01"; "1."; ".5"; "+1"; "1e+"; "--1"; "nan"; "\"\\u12\""; "{\"a\":1,}"; "" ];
+  let tree = J.Obj [ ("s", J.Str "q\"\n"); ("n", J.num nan); ("x", J.Arr [ J.Num 1.5 ]) ] in
+  Alcotest.(check bool) "writer output parses back" true (J.parse (J.to_string tree) = tree)
 
 let test_validate_file_malformed () =
   let write path content =
@@ -276,6 +299,7 @@ let suite =
     Alcotest.test_case "flap damping trade-off" `Quick test_flap_damping_tradeoff;
     Alcotest.test_case "format_of_path edge cases" `Quick test_format_of_path_edges;
     Alcotest.test_case "validate rejects malformed inputs" `Quick test_validate_malformed;
+    Alcotest.test_case "json parse" `Quick test_json_parse;
     Alcotest.test_case "validate_file rejects malformed files" `Quick
       test_validate_file_malformed;
     Alcotest.test_case "finish error reporting + idempotency" `Quick

@@ -65,15 +65,51 @@ let test_ascii_boxplot () =
   Alcotest.(check bool) "box body" true (contains out "=");
   Alcotest.(check bool) "medians annotated" true (contains out "med=12.0")
 
+(* A real run rendered through the route-change history: a 5-clique with
+   two SDN members, announce then withdraw.  The text is byte-identical
+   to the framework's earlier string-log rendering of the same run. *)
+let golden_timeline =
+  String.concat "\n"
+    [
+      "0.004s info AS65001[bgp]: bestpath 100.64.0.0/24 -> [(empty)]";
+      "0.007s info AS65002[bgp]: bestpath 100.64.0.0/24 -> [AS65001]";
+      "0.009s info AS65003[bgp]: bestpath 100.64.0.0/24 -> [AS65001]";
+      "0.207s info controller[controller]: decision 100.64.0.0/24 AS65004: AS65004: exit via AS65001 dist=1 path=[AS65001]";
+      "0.207s info controller[controller]: decision 100.64.0.0/24 AS65005: AS65005: exit via AS65001 dist=1 path=[AS65001]";
+      "1.986s info AS65001[bgp]: bestpath 100.64.0.0/24 -> unreachable";
+      "1.990s info AS65003[bgp]: bestpath 100.64.0.0/24 -> [AS65002 AS65001]";
+      "1.992s info AS65002[bgp]: bestpath 100.64.0.0/24 -> [AS65003 AS65001]";
+      "1.997s info AS65002[bgp]: bestpath 100.64.0.0/24 -> [AS65004 AS65001]";
+      "1.999s info AS65003[bgp]: bestpath 100.64.0.0/24 -> [AS65004 AS65001]";
+      "2.189s info controller[controller]: decision 100.64.0.0/24 AS65004: AS65004: exit via AS65002 dist=3 path=[AS65002 AS65003 AS65001]";
+      "2.189s info controller[controller]: decision 100.64.0.0/24 AS65005: AS65005: exit via AS65002 dist=3 path=[AS65002 AS65003 AS65001]";
+      "2.194s info AS65002[bgp]: bestpath 100.64.0.0/24 -> [AS65005 AS65001]";
+      "2.194s info AS65003[bgp]: bestpath 100.64.0.0/24 -> [AS65005 AS65001]";
+      "2.195s info AS65003[bgp]: bestpath 100.64.0.0/24 -> unreachable";
+      "2.196s info AS65002[bgp]: bestpath 100.64.0.0/24 -> unreachable";
+      "3.857s info controller[controller]: decision 100.64.0.0/24 AS65005: AS65005: intra to AS65004 dist=4 path=[AS65004 AS65002 AS65003 AS65001]";
+      "4.172s info controller[controller]: decision 100.64.0.0/24 AS65004: unreachable";
+      "4.172s info controller[controller]: decision 100.64.0.0/24 AS65005: unreachable";
+    ]
+  ^ "\n"
+
 let test_timeline () =
-  let trace = Engine.Trace.create () in
-  Engine.Trace.record trace ~time:(Engine.Time.ms 3) ~node:"AS65001" ~category:"bgp"
-    "bestpath 100.64.0.0/24 -> [AS65002]";
-  let entries = Framework.Logparse.of_trace trace in
-  let out =
-    Framework.Visualize.timeline entries (Option.get (Net.Ipv4.prefix_of_string "100.64.0.0/24"))
-  in
-  Alcotest.(check bool) "event rendered" true (contains out "bestpath")
+  let asn = Topology.Artificial.asn in
+  let spec = Topology.Spec.with_sdn (Topology.Artificial.clique 5) [ asn 4; asn 3 ] in
+  let exp = Framework.Experiment.create ~config:Framework.Config.fast_test ~seed:7 spec in
+  let history = Framework.Convergence.record_history (Framework.Experiment.network exp) in
+  let origin = asn 0 in
+  let prefix = Framework.Experiment.default_prefix exp origin in
+  ignore
+    (Framework.Experiment.measure exp ~prefix (fun () ->
+         ignore (Framework.Experiment.announce exp origin)));
+  ignore
+    (Framework.Experiment.measure exp ~prefix (fun () ->
+         ignore (Framework.Experiment.withdraw exp origin)));
+  let out = Framework.Visualize.timeline history prefix in
+  Alcotest.(check bool) "has bestpath lines" true (contains out "bestpath");
+  Alcotest.(check bool) "has decision lines" true (contains out "decision");
+  Alcotest.(check string) "golden timeline" golden_timeline out
 
 let suite =
   [
