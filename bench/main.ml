@@ -14,8 +14,9 @@
      CHURN           collector update counts vs SDN fraction
      TELEMETRY       one instrumented withdrawal run: sampled metrics
                      timeline + scheduler wall-clock profile
-     SHARD           lockstep-epoch partitioned run vs sequential
-                     (bit-identity differential + barrier accounting)
+     SCALE           CAIDA-graph load + withdrawal at 1 and 2 shards
+                     (must settle; bit-identity differential + barrier
+                     accounting)
      MICRO           Bechamel micro-benchmarks
 
    `dune exec bench/main.exe -- --quick` runs a reduced sweep.
@@ -609,29 +610,34 @@ let causal_overhead () =
     secs_off n sdn reps;
   [ ("trace_overhead_ring_ratio", ring_ratio); ("trace_overhead_full_ratio", full_ratio) ]
 
-(* --- Internet-scale stress ----------------------------------------------- *)
+(* --- Internet-scale stress, sharded and not ---------------------------- *)
 
-(* The PR 8 tentpole proof: a synthetic CAIDA graph at Internet-like AS
-   counts, loaded with enough origins that the RIBs hold millions of
-   routes, then one measured withdrawal.  The load phase runs under an
-   explicit event budget AND a host-clock wall deadline per phase —
-   with batching one delivery event can carry thousands of prefixes, so
-   an event count alone does not bound work; full global propagation of
-   10k prefixes across 5k ASes needs hours on one core.  The bench
-   loads to the nearer horizon and reports [load_settled] honestly.
-   The quick variant (100 ASes) settles completely. *)
+(* One CAIDA-graph load + measured withdrawal through the scale driver,
+   at one shard and at two.  The one-shard run is the path users run:
+   its figures fill the "scale" object and must settle — an unsettled
+   load or withdrawal fails the bench instead of being recorded.  The
+   two-shard run must be bit-identical to it; the "shard" object shows
+   where the time went (per-shard event counts, barrier stall).  The
+   speedup is reported honestly but NOT guarded: on few-core hosts or
+   small runs lockstep epochs can sit at ~1.0x. *)
 let scale () =
-  section "SCALE: CAIDA-graph load + measured withdrawal (trie RIBs, interned attrs)";
-  let tier1, tier2, stubs, prefixes, budget, wall =
-    if quick then (4, 24, 72, 200, 3_000_000, None)
-    else (10, 200, 4790, 10_000, 12_000_000, Some 150.0)
+  section "SCALE: CAIDA-graph load + measured withdrawal at 1 and 2 shards (differential)";
+  let tier1, tier2, stubs, prefixes =
+    if quick then (4, 24, 72, 200) else (5, 40, 455, 300)
   in
-  let r =
-    Framework.Experiments.scale_run ~tier1 ~tier2 ~stubs ~prefixes ~sdn:0
-      ~load_max_events:budget ?phase_wall_s:wall ~clock:Unix.gettimeofday ~seed:5 ~config ()
+  let nshards = 2 in
+  let run n =
+    let t0 = Unix.gettimeofday () in
+    let r =
+      Framework.Experiments.scale_run ~tier1 ~tier2 ~stubs ~prefixes ~sdn:4 ~shards:n
+        ~clock:Unix.gettimeofday ~seed:9 ~config ()
+    in
+    (r, Unix.gettimeofday () -. t0)
   in
+  let (r, seq), wall_seq = run 1 in
   let open Framework.Experiments in
-  Fmt.pr "graph: %d ASes, %d links; %d prefixes loaded@." r.ases r.links r.prefixes;
+  Fmt.pr "graph: %d ASes, %d links, %d SDN members; %d prefixes loaded@." r.ases r.links
+    r.sdn_members r.prefixes;
   Fmt.pr "load: %d collector updates in %.1f s host time (%.0f updates/s), settled=%b@."
     r.load_updates r.load_seconds r.updates_per_sec r.load_settled;
   Fmt.pr "tables: %d Loc-RIB routes, %d Adj-RIB-In routes, %d interned attr sets@."
@@ -640,48 +646,11 @@ let scale () =
     (float_of_int r.peak_words *. 8.0 /. 1e6);
   Fmt.pr "withdrawal: Tdown = %.2f s (simulated), %d control changes@."
     r.withdrawal.seconds r.withdrawal.changes;
-  [
-    ("ases", float_of_int r.ases);
-    ("links", float_of_int r.links);
-    ("prefixes", float_of_int r.prefixes);
-    ("load_updates", float_of_int r.load_updates);
-    ("load_wall_s", r.load_seconds);
-    ("updates_per_sec", r.updates_per_sec);
-    ("load_settled", if r.load_settled then 1.0 else 0.0);
-    ("rib_routes", float_of_int r.rib_routes);
-    ("adj_in_routes", float_of_int r.adj_in_routes);
-    ("live_words", float_of_int r.live_words);
-    ("peak_words", float_of_int r.peak_words);
-    ("distinct_attrs", float_of_int r.distinct_attrs);
-    ("tdown_s", r.withdrawal.seconds);
-  ]
-
-(* --- Sharded single-run execution ---------------------------------------- *)
-
-(* The PR 9 tentpole proof: ONE run partitioned across domains advancing
-   in lockstep epochs must be bit-identical to the same run at one
-   shard, and the section shows where the time went (per-shard event
-   counts, barrier stall).  The speedup figure is reported honestly but
-   NOT guarded: on few-core hosts or small runs lockstep epochs can sit
-   at ~1.0x — the invariant this section defends is identity. *)
-let shard () =
-  section "SHARD: lockstep-epoch partitioned run == sequential (differential)";
-  let tier1, tier2, stubs, prefixes =
-    if quick then (2, 8, 30, 40) else (5, 40, 455, 300)
-  in
-  let nshards = 2 in
-  let run n =
-    let t0 = Unix.gettimeofday () in
-    let _, s =
-      Framework.Experiments.scale_shard_run ~tier1 ~tier2 ~stubs ~prefixes ~sdn:4
-        ~shards:n ~clock:Unix.gettimeofday ~seed:9 ~config ()
-    in
-    (s, Unix.gettimeofday () -. t0)
-  in
-  let seq, wall_seq = run 1 in
-  let par, wall_par = run nshards in
+  if not (r.load_settled && Float.is_finite r.withdrawal.seconds) then
+    failwith "SCALE: the load or the measured withdrawal did not settle";
+  let (_, par), wall_par = run nshards in
   if not (Framework.Sharding.equal_result par seq) then
-    failwith "SHARD: sharded result differs from the sequential run";
+    failwith "SCALE: sharded result differs from the one-shard run";
   let st = par.Framework.Sharding.stats in
   let total = Array.fold_left ( + ) 0 in
   let stall = Array.fold_left ( +. ) 0.0 st.Engine.Shard.stall_s in
@@ -699,18 +668,33 @@ let shard () =
   Fmt.pr "wall: %.2f s at 1 shard, %.2f s at %d shards (speedup %.2fx)@." wall_seq wall_par
     nshards speedup;
   Fmt.pr "differential: identical@.";
-  [
-    ("shards", float_of_int nshards);
-    ("epochs", float_of_int st.Engine.Shard.epochs);
-    ("cut_links", float_of_int par.Framework.Sharding.cut_links);
-    ("executed_total", float_of_int (total st.Engine.Shard.executed));
-    ("injected_total", float_of_int (total st.Engine.Shard.injected));
-    ("stall_s", stall);
-    ("wall_seq_s", wall_seq);
-    ("wall_shard_s", wall_par);
-    ("speedup", speedup);
-    ("identical", 1.0);
-  ]
+  ( [
+      ("ases", float_of_int r.ases);
+      ("links", float_of_int r.links);
+      ("prefixes", float_of_int r.prefixes);
+      ("load_updates", float_of_int r.load_updates);
+      ("load_wall_s", r.load_seconds);
+      ("updates_per_sec", r.updates_per_sec);
+      ("load_settled", 1.0);
+      ("rib_routes", float_of_int r.rib_routes);
+      ("adj_in_routes", float_of_int r.adj_in_routes);
+      ("live_words", float_of_int r.live_words);
+      ("peak_words", float_of_int r.peak_words);
+      ("distinct_attrs", float_of_int r.distinct_attrs);
+      ("tdown_s", r.withdrawal.seconds);
+    ],
+    [
+      ("shards", float_of_int nshards);
+      ("epochs", float_of_int st.Engine.Shard.epochs);
+      ("cut_links", float_of_int par.Framework.Sharding.cut_links);
+      ("executed_total", float_of_int (total st.Engine.Shard.executed));
+      ("injected_total", float_of_int (total st.Engine.Shard.injected));
+      ("stall_s", stall);
+      ("wall_seq_s", wall_seq);
+      ("wall_shard_s", wall_par);
+      ("speedup", speedup);
+      ("identical", 1.0);
+    ] )
 
 (* --- Data-plane loss + fast-path throughput ------------------------------ *)
 
@@ -1111,8 +1095,7 @@ let () =
   let telemetry_tdown, headline = timed "telemetry" telemetry in
   let overhead_rows = timed "trace_overhead" causal_overhead in
   let headline = headline @ overhead_rows in
-  let scale_stats = timed "scale" scale in
-  let shard_stats = timed "shard" shard in
+  let scale_stats, shard_stats = timed "scale" scale in
   let loss_stats = loss () in
   Option.iter Engine.Pool.shutdown pool;
   Option.iter

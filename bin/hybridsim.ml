@@ -303,9 +303,11 @@ let run_cmd =
       let config = config_of_mrai mrai in
       match String.lowercase_ascii event with
       | _ when shards < 1 -> Error "--shards must be >= 1"
-      | ("withdraw" | "announce") as event when shards > 1 || verify ->
+      | _ when verify && shards < 2 ->
+        Error "--verify needs --shards >= 2 (it compares against --shards 1)"
+      | ("withdraw" | "announce") as event when shards > 1 ->
         if metrics_out <> None then
-          Error "--metrics-out is not supported with --shards/--verify"
+          Error "--metrics-out is not supported with --shards"
         else begin
           let origin = List.hd (Topology.Spec.asns spec) in
           let plan = Framework.Addressing.plan spec in
@@ -360,7 +362,7 @@ let run_cmd =
               Error (Fmt.str "verify FAILED: shards=%d result differs from shards=1" shards)
           else Ok ()
         end
-      | "failover" when shards > 1 || verify ->
+      | "failover" when shards > 1 ->
         Error "--shards/--verify support withdraw and announce events only"
       | "withdraw" | "announce" ->
         let exp = Framework.Experiment.create ~config ~seed spec in
@@ -418,8 +420,8 @@ let run_cmd =
       & flag
       & info [ "verify" ]
           ~doc:
-            "Differential check: rerun at $(b,--shards) 1 and fail unless the sharded \
-             result is identical.")
+            "Differential check (needs $(b,--shards) >= 2): rerun at $(b,--shards) 1 and \
+             fail unless the sharded result is identical.")
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a single convergence experiment.")
@@ -819,9 +821,7 @@ let chaos_cmd =
 (* --- scale ---------------------------------------------------------------- *)
 
 let scale_cmd =
-  let run tier1 tier2 stubs prefixes ks runs seed mrai jobs single shards verify budget wall
-      csv =
-    let sharded = shards > 1 || verify in
+  let run tier1 tier2 stubs prefixes ks runs seed mrai jobs single shards verify budget csv =
     let result =
       let* jobs = resolve_jobs jobs in
       if tier1 < 1 || tier2 < 1 || stubs < 1 then Error "--tier1/--tier2/--stubs must be >= 1"
@@ -829,17 +829,21 @@ let scale_cmd =
       else if runs < 1 then Error "--runs must be >= 1"
       else if budget < 1 then Error "--budget must be >= 1"
       else if shards < 1 then Error "--shards must be >= 1"
-      else if sharded && wall <> None then
-        Error "--wall is not supported with --shards/--verify (epochs are wall-clock-free)"
-      else if (match wall with Some w -> w <= 0.0 | None -> false) then
-        Error "--wall must be positive"
+      else if verify && shards < 2 then
+        Error "--verify needs --shards >= 2 (it compares against --shards 1)"
       else Ok jobs
     in
     match result with
     | Error msg -> `Error (false, msg)
     | Ok jobs ->
       let config = config_of_mrai mrai in
-      let print_summary (r : Framework.Experiments.scale_result) =
+      if single || shards > 1 then begin
+        let sdn = match ks with k :: _ -> k | [] -> 0 in
+        let scale_run n =
+          Framework.Experiments.scale_run ~tier1 ~tier2 ~stubs ~prefixes ~sdn
+            ~load_max_events:budget ~shards:n ~clock:Unix.gettimeofday ~seed ~config ()
+        in
+        let r, sres = scale_run shards in
         Fmt.pr "graph:           %d ASes (%d tier1, %d tier2, %d stubs), %d links@."
           r.Framework.Experiments.ases tier1 tier2 stubs r.Framework.Experiments.links;
         Fmt.pr "centralized:     %d top-degree members@." r.Framework.Experiments.sdn_members;
@@ -856,32 +860,25 @@ let scale_cmd =
         Fmt.pr "withdrawal:      Tdown = %.2f s, %d changes, %d collector updates@."
           r.Framework.Experiments.withdrawal.Framework.Experiments.seconds
           r.Framework.Experiments.withdrawal.Framework.Experiments.changes
-          r.Framework.Experiments.withdrawal.Framework.Experiments.collector_updates
-      in
-      if sharded then begin
-        let sdn = match ks with k :: _ -> k | [] -> 0 in
-        let shard_run n =
-          Framework.Experiments.scale_shard_run ~tier1 ~tier2 ~stubs ~prefixes ~sdn
-            ~load_max_events:budget ~shards:n ~clock:Unix.gettimeofday ~seed ~config ()
-        in
-        let r, sres = shard_run shards in
-        print_summary r;
-        let st = sres.Framework.Sharding.stats in
-        Fmt.pr "shards:          %d (sizes %a), %d cut links, %d epochs, lookahead %a@."
-          shards
-          Fmt.(array ~sep:(any "/") int)
-          sres.Framework.Sharding.partition_sizes sres.Framework.Sharding.cut_links
-          st.Engine.Shard.epochs Engine.Time.pp_span st.Engine.Shard.lookahead;
-        Fmt.pr "shard events:    executed %a, injected %a@."
-          Fmt.(array ~sep:(any "/") int)
-          st.Engine.Shard.executed
-          Fmt.(array ~sep:(any "/") int)
-          st.Engine.Shard.injected;
-        Fmt.pr "barrier stall:   %a s@."
-          Fmt.(array ~sep:(any "/") (fmt "%.2f"))
-          st.Engine.Shard.stall_s;
+          r.Framework.Experiments.withdrawal.Framework.Experiments.collector_updates;
+        if shards > 1 then begin
+          let st = sres.Framework.Sharding.stats in
+          Fmt.pr "shards:          %d (sizes %a), %d cut links, %d epochs, lookahead %a@."
+            shards
+            Fmt.(array ~sep:(any "/") int)
+            sres.Framework.Sharding.partition_sizes sres.Framework.Sharding.cut_links
+            st.Engine.Shard.epochs Engine.Time.pp_span st.Engine.Shard.lookahead;
+          Fmt.pr "shard events:    executed %a, injected %a@."
+            Fmt.(array ~sep:(any "/") int)
+            st.Engine.Shard.executed
+            Fmt.(array ~sep:(any "/") int)
+            st.Engine.Shard.injected;
+          Fmt.pr "barrier stall:   %a s@."
+            Fmt.(array ~sep:(any "/") (fmt "%.2f"))
+            st.Engine.Shard.stall_s
+        end;
         if verify then begin
-          let _, base = shard_run 1 in
+          let _, base = scale_run 1 in
           if Framework.Sharding.equal_result sres base then begin
             Fmt.pr "verify:          shards=%d result identical to shards=1@." shards;
             `Ok ()
@@ -893,21 +890,11 @@ let scale_cmd =
         end
         else `Ok ()
       end
-      else if single then begin
-        let sdn = match ks with k :: _ -> k | [] -> 0 in
-        let r =
-          Framework.Experiments.scale_run ~tier1 ~tier2 ~stubs ~prefixes ~sdn
-            ~load_max_events:budget ?phase_wall_s:wall ~clock:Unix.gettimeofday ~seed
-            ~config ()
-        in
-        print_summary r;
-        `Ok ()
-      end
       else begin
         let s =
           with_optional_pool jobs (fun pool ->
               Framework.Experiments.scale_sweep ?pool ~tier1 ~tier2 ~stubs ~prefixes ~ks
-                ~runs ~seed ~config ())
+                ~runs ~seed ~load_max_events:budget ~config ())
         in
         Fmt.pr "%a@.@.%s@." Framework.Experiments.pp_series s
           (Framework.Visualize.series_to_ascii s);
@@ -968,8 +955,9 @@ let scale_cmd =
       & flag
       & info [ "verify" ]
           ~doc:
-            "Differential check: rerun at $(b,--shards) 1 and fail unless the sharded \
-             result is identical (phases, merged metrics, collector stream, RIB sums).")
+            "Differential check (needs $(b,--shards) >= 2): rerun at $(b,--shards) 1 and \
+             fail unless the sharded result is identical (phases, merged metrics, collector \
+             stream, RIB sums).")
   in
   let budget =
     Arg.(
@@ -977,18 +965,9 @@ let scale_cmd =
       & opt int 20_000_000
       & info [ "budget" ] ~docv:"EVENTS"
           ~doc:
-            "Event budget for the load phase (and each measured phase); bounds peak memory \
-             and host time at Internet scale.")
-  in
-  let wall =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "wall" ] ~docv:"SECONDS"
-          ~doc:
-            "Host-clock deadline per phase (load / announce / withdrawal).  With batching \
-             one delivery event can carry thousands of prefixes, so the event budget alone \
-             does not bound wall time; a phase stopped at its deadline counts as unsettled.")
+            "Event budget for each run (load and measured phases together); bounds peak \
+             memory and host time at Internet scale.  A run it stops reports its load as \
+             unsettled and its withdrawal as nan.")
   in
   let csv =
     Arg.(
@@ -1006,7 +985,7 @@ let scale_cmd =
     Term.(
       ret
         (const run $ tier1 $ tier2 $ stubs $ prefixes $ ks $ runs $ seed_arg $ mrai_arg
-        $ jobs_arg $ single $ shards $ verify $ budget $ wall $ csv))
+        $ jobs_arg $ single $ shards $ verify $ budget $ csv))
 
 (* --- loss ----------------------------------------------------------------- *)
 

@@ -395,12 +395,13 @@ let table_size_run ~n ~sdn ~background ~seed ~config () =
 
    The tentpole stress path: a synthetic CAIDA graph (thousands of ASes)
    loaded with thousands of prefixes spread across its stubs, then one
-   measured withdrawal.  The load phase is throughput-bound, not
-   convergence-bound: it runs under an explicit event budget so peak
-   memory and host time stay proportional to [load_max_events] rather
-   than to full global propagation (at full Internet scale every router
-   learning every prefix would not fit one process).  [load_settled]
-   reports whether the budget in fact reached quiescence — small
+   measured announce + withdrawal.  The run goes through {!Sharding} as
+   three driver phases; [shards = 1] is the sequential path on the
+   calling domain.  One event budget bounds the whole run so peak memory
+   and host time stay proportional to [load_max_events] rather than to
+   full global propagation (at full Internet scale every router learning
+   every prefix would not fit one process).  [load_settled] reports
+   whether the load phase in fact reached quiescence — small
    configurations (tests, the smoke alias) do. *)
 
 type scale_result = {
@@ -420,50 +421,6 @@ type scale_result = {
   distinct_attrs : int; (* interned attribute sets (domain-local table) *)
 }
 
-(* [Network.settle] treats an exhausted event budget as divergence and
-   raises; at scale a bounded horizon is the intended operating mode, so
-   run the scheduler directly and report whether quiescence was reached. *)
-(* Run the queue dry under two explicit bounds: an event budget and an
-   optional host-clock deadline.  At Internet scale one batched delivery
-   can carry thousands of prefixes — per-event cost varies by four
-   orders of magnitude — so events alone cannot bound wall time; the
-   deadline is checked between small slices.  Returns [true] iff the
-   queue actually drained (quiescence). *)
-let bounded_settle ?deadline ?(clock = Sys.time) exp ~budget =
-  let sim = Experiment.sim exp in
-  let slice = 100 in
-  let rec loop remaining =
-    if remaining <= 0 then false
-    else if (match deadline with Some d -> clock () >= d | None -> false) then false
-    else
-      match Engine.Sim.run ~max_events:(min slice remaining) sim with
-      | Engine.Sim.Exhausted -> true
-      | Engine.Sim.Reached_limit -> loop (remaining - slice)
-      | Engine.Sim.Reached_time _ -> assert false
-  in
-  loop budget
-
-(* [Convergence.measure] under the same bounded budget/deadline. *)
-let bounded_measure ?deadline ?clock exp ~budget ~prefix action =
-  let watcher = Experiment.watcher exp in
-  let event_time = Experiment.now exp in
-  let changes_before = Convergence.control_changes watcher prefix in
-  action ();
-  ignore (bounded_settle ?deadline ?clock exp ~budget);
-  let last_change =
-    match Convergence.last_control_change watcher prefix with
-    | Some time when Engine.Time.(time >= event_time) -> Some time
-    | Some _ | None -> None
-  in
-  {
-    Convergence.prefix;
-    event_time;
-    settled_at = Experiment.now exp;
-    last_change;
-    convergence = Option.map (fun c -> Engine.Time.diff c event_time) last_change;
-    changes = Convergence.control_changes watcher prefix - changes_before;
-  }
-
 (* Synthetic prefixes for the load phase: 101.0.0.0/24 onward, disjoint
    from the addressing plan's 100.64/10 origin prefixes and 10/8 router
    addresses. *)
@@ -473,18 +430,7 @@ let scale_prefix m =
     (Net.Ipv4.addr_of_octets (101 + (m lsr 16)) ((m lsr 8) land 0xff) (m land 0xff) 0)
     24
 
-(* The sharded twin of [scale_run]: the same CAIDA graph, load, announce
-   and withdrawal, but executed through {!Sharding} as three driver
-   phases across [shards] domains.  Returns both the [scale_result] view
-   and the raw {!Sharding.result} (partition sizes, per-shard stats, and
-   the deterministic signature the shards=N-vs-1 differential compares).
-
-   The phase structure differs from the sequential path — commands fire
-   at pre-scheduled driver instants after quiescence rather than
-   immediately — so sharded results are bit-comparable across SHARD
-   COUNTS (N vs 1 through this same function), not against the
-   unsharded [scale_run]. *)
-let scale_shard_run ?(tier1 = 5) ?(tier2 = 40) ?(stubs = 455) ?(prefixes = 1000) ?(sdn = 0)
+let scale_run ?(tier1 = 5) ?(tier2 = 40) ?(stubs = 455) ?(prefixes = 1000) ?(sdn = 0)
     ?(load_max_events = 20_000_000) ?(shards = 1) ?(clock = Sys.time) ~seed ~config () =
   let total = tier1 + tier2 + stubs in
   let spec = Topology.Caida.generate ~tier1 ~tier2 ~stubs (Engine.Rng.create seed) in
@@ -492,10 +438,14 @@ let scale_shard_run ?(tier1 = 5) ?(tier2 = 40) ?(stubs = 455) ?(prefixes = 1000)
   let origin = List.hd stub_list in
   let members = choose_members ~spec ~k:sdn ~placement:Top_degree ~origin ~seed in
   let spec = Topology.Spec.with_sdn spec members in
+  (* At scale the collector keeps counts and last-update instants only;
+     the full event log would dominate the live heap. *)
   let config = { config with Config.collector_retention = Bgp.Collector.Counts_only } in
   let plan = Addressing.plan spec in
   let prefix = plan.Addressing.origin_prefix origin in
   let stub_arr = Array.of_list stub_list in
+  (* Load: [prefixes] origins round-robin across the stubs; then the
+     origin stub announces its plan prefix and withdraws it. *)
   let load_cmds =
     List.init prefixes (fun m ->
         Sharding.Originate (stub_arr.(m mod Array.length stub_arr), scale_prefix m))
@@ -507,23 +457,25 @@ let scale_shard_run ?(tier1 = 5) ?(tier2 = 40) ?(stubs = 455) ?(prefixes = 1000)
       { Sharding.commands = [ Sharding.Withdraw (origin, prefix) ]; measured = Some prefix };
     ]
   in
-  let t0 = clock () in
   let r =
     Sharding.run ~shards ~partition_seed:seed ~budget:load_max_events ~clock ~config ~seed
       ~phases spec
   in
-  let wall = clock () -. t0 in
   let phase k = List.nth_opt r.Sharding.phases k in
-  let load_updates =
-    match phase 0 with Some p -> p.Sharding.collector_updates | None -> 0
+  (* a load the budget stopped has no phase outcome: every collector
+     update so far belongs to it, and its host time is unknown *)
+  let load_updates, load_seconds =
+    match phase 0 with
+    | Some p -> (p.Sharding.collector_updates, p.Sharding.host_seconds)
+    | None -> (r.Sharding.collector_total, nan)
   in
   let withdrawal_m = Option.bind (phase 2) (fun p -> p.Sharding.measurement) in
   let withdrawal =
     {
       seconds =
         (match withdrawal_m with
-        | Some { Convergence.convergence = Some c; _ } -> Engine.Time.to_sec_f c
-        | Some _ | None -> nan);
+        | Some m -> Experiment.convergence_seconds m
+        | None -> nan);
       changes = (match withdrawal_m with Some m -> m.Convergence.changes | None -> 0);
       collector_updates =
         (match phase 2 with Some p -> p.Sharding.collector_updates | None -> 0);
@@ -540,10 +492,9 @@ let scale_shard_run ?(tier1 = 5) ?(tier2 = 40) ?(stubs = 455) ?(prefixes = 1000)
       prefixes;
       sdn_members = sdn;
       load_updates;
-      (* sharded phases interleave at the epoch loop; report whole-run
-         host seconds rather than a per-phase split *)
-      load_seconds = wall;
-      updates_per_sec = (if wall > 0.0 then float_of_int load_updates /. wall else nan);
+      load_seconds;
+      updates_per_sec =
+        (if load_seconds > 0.0 then float_of_int load_updates /. load_seconds else nan);
       load_settled = phase 0 <> None;
       withdrawal;
       rib_routes = r.Sharding.rib_routes;
@@ -554,102 +505,18 @@ let scale_shard_run ?(tier1 = 5) ?(tier2 = 40) ?(stubs = 455) ?(prefixes = 1000)
     },
     r )
 
-let scale_run ?(tier1 = 5) ?(tier2 = 40) ?(stubs = 455) ?(prefixes = 1000) ?(sdn = 0)
-    ?(load_max_events = 20_000_000) ?phase_wall_s ?(clock = Sys.time) ?shards ~seed ~config
-    () =
-  match shards with
-  | Some shards ->
-    if phase_wall_s <> None then
-      invalid_arg "Experiments.scale_run: phase_wall_s is not supported with ~shards";
-    fst
-      (scale_shard_run ~tier1 ~tier2 ~stubs ~prefixes ~sdn ~load_max_events ~shards ~clock
-         ~seed ~config ())
-  | None ->
-  let total = tier1 + tier2 + stubs in
-  let spec = Topology.Caida.generate ~tier1 ~tier2 ~stubs (Engine.Rng.create seed) in
-  let stub_list = Topology.Caida.stub_asns ~tier1 ~tier2 ~stubs in
-  let origin = List.hd stub_list in
-  let members = choose_members ~spec ~k:sdn ~placement:Top_degree ~origin ~seed in
-  let spec = Topology.Spec.with_sdn spec members in
-  (* At scale the collector keeps counts and last-update instants only;
-     the full event log would dominate the live heap. *)
-  let config = { config with Config.collector_retention = Bgp.Collector.Counts_only } in
-  let exp = Experiment.create ~config ~seed spec in
-  let network = Experiment.network exp in
-  let collector = Network.collector network in
-  let stub_arr = Array.of_list stub_list in
-  (* Load: [prefixes] origins round-robin across the stubs, one event
-     budget for the whole propagation. *)
-  let t0 = clock () in
-  let deadline_from t = Option.map (fun w -> t +. w) phase_wall_s in
-  let updates_before = Bgp.Collector.event_count collector in
-  for m = 0 to prefixes - 1 do
-    Network.originate network stub_arr.(m mod Array.length stub_arr) (scale_prefix m)
-  done;
-  let load_settled =
-    bounded_settle ?deadline:(deadline_from t0) ~clock exp ~budget:load_max_events
-  in
-  let load_seconds = clock () -. t0 in
-  let load_updates = Bgp.Collector.event_count collector - updates_before in
-  let rib_routes, adj_in_routes =
-    Net.Asn.Map.fold
-      (fun _ r (loc, adj) -> (loc + Bgp.Router.loc_size r, adj + Bgp.Router.adj_in_size r))
-      (Network.routers network) (0, 0)
-  in
-  (* The measured withdrawal: the origin announces its (plan) prefix and
-     withdraws it, each phase run to quiescence under the same budget. *)
-  let prefix = Experiment.default_prefix exp origin in
-  ignore
-    (bounded_measure
-       ?deadline:(deadline_from (clock ()))
-       ~clock exp ~budget:load_max_events ~prefix
-       (fun () -> ignore (Experiment.announce exp origin)));
-  let baseline = Bgp.Collector.event_count collector in
-  let measured =
-    bounded_measure
-      ?deadline:(deadline_from (clock ()))
-      ~clock exp ~budget:load_max_events ~prefix
-      (fun () -> ignore (Experiment.withdraw exp origin))
-  in
-  let withdrawal =
-    {
-      seconds = Experiment.convergence_seconds measured;
-      changes = measured.Convergence.changes;
-      collector_updates = Bgp.Collector.event_count collector - baseline;
-      restore_mean = nan;
-      restore_max = nan;
-      metrics = Experiment.final_metrics exp;
-    }
-  in
-  let stat = Gc.stat () in
-  let intern = Bgp.Attrs.intern_stats () in
-  {
-    ases = total;
-    links = List.length (Topology.Spec.links spec);
-    prefixes;
-    sdn_members = sdn;
-    load_updates;
-    load_seconds;
-    updates_per_sec =
-      (if load_seconds > 0.0 then float_of_int load_updates /. load_seconds else nan);
-    load_settled;
-    withdrawal;
-    rib_routes;
-    adj_in_routes;
-    live_words = stat.Gc.live_words;
-    peak_words = stat.Gc.top_heap_words;
-    distinct_attrs = intern.Bgp.Attrs.distinct_full;
-  }
-
 (* The convergence-vs-centralization curve at scale: the Fig. 2 shape on
    a CAIDA-generated graph with loaded tables, x = centralized member
    count (top-degree placement). *)
 let scale_sweep ?pool ?(tier1 = 4) ?(tier2 = 24) ?(stubs = 72) ?(prefixes = 200)
-    ?(ks = [ 0; 8; 16; 24 ]) ?(runs = 3) ?(seed = 97) ?(config = Config.default) () =
+    ?(ks = [ 0; 8; 16; 24 ]) ?(runs = 3) ?(seed = 97) ?load_max_events
+    ?(config = Config.default) () =
   let points =
     sweep_points ?pool ~runs ~seed
       ~run_at:(fun ~x ~seed ->
-        (scale_run ~tier1 ~tier2 ~stubs ~prefixes ~sdn:(int_of_float x) ~seed ~config ())
+        (fst
+           (scale_run ~tier1 ~tier2 ~stubs ~prefixes ~sdn:(int_of_float x) ?load_max_events
+              ~seed ~config ()))
           .withdrawal)
       (List.map float_of_int ks)
   in

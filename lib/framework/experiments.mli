@@ -163,7 +163,7 @@ val scale_prefix : int -> Net.Ipv4.prefix
 (** The [m]-th synthetic load prefix (101.0.0.0/24 onward), disjoint from
     the addressing plan's origin prefixes. *)
 
-val scale_shard_run :
+val scale_run :
   ?tier1:int ->
   ?tier2:int ->
   ?stubs:int ->
@@ -176,46 +176,22 @@ val scale_shard_run :
   config:Config.t ->
   unit ->
   scale_result * Sharding.result
-(** The sharded twin of {!scale_run}: the same CAIDA load, announce and
-    withdrawal executed through {!Sharding} as three driver phases across
-    [shards] domains (default 1).  Returns the [scale_result] view plus
-    the raw {!Sharding.result} (partition, per-shard stats, and the
-    deterministic signature compared by the shards=N-vs-1 differential,
-    {!Sharding.equal_result}).  Sharded runs are bit-comparable across
-    shard counts through this function, not against the phase-timing of
-    the unsharded path.  [load_max_events] bounds the whole run's real
-    event count; a run it stops reports [load_settled = false] and/or a
-    truncated phase list. *)
-
-val scale_run :
-  ?tier1:int ->
-  ?tier2:int ->
-  ?stubs:int ->
-  ?prefixes:int ->
-  ?sdn:int ->
-  ?load_max_events:int ->
-  ?phase_wall_s:float ->
-  ?clock:(unit -> float) ->
-  ?shards:int ->
-  seed:int ->
-  config:Config.t ->
-  unit ->
-  scale_result
 (** Internet-scale stress: a synthetic CAIDA graph loaded with [prefixes]
-    origins spread round-robin across its stubs (event budget
-    [load_max_events]; [load_settled] reports whether propagation in fact
-    quiesced), then one measured announce + withdrawal of the origin
-    stub's own prefix.  [sdn] centralizes that many top-degree ASes.  The
-    collector runs in [Counts_only] retention.  [clock] supplies host
-    time for the throughput figures (default [Sys.time]; pass
-    [Unix.gettimeofday] for wall clock).  [phase_wall_s] adds a
-    host-clock deadline per phase (load / announce / withdrawal): at
-    Internet scale one batched delivery can carry thousands of prefixes,
-    so an event budget alone cannot bound wall time; a phase stopped at
-    its deadline counts as unsettled.
+    origins spread round-robin across its stubs, then one measured
+    announce + withdrawal of the origin stub's own prefix.  [sdn]
+    centralizes that many top-degree ASes.  The collector runs in
+    [Counts_only] retention.
 
-    [shards] switches to the sharded execution path
-    ({!scale_shard_run}); [phase_wall_s] is rejected there. *)
+    The run goes through {!Sharding.run} as three driver phases (load,
+    announce, withdrawal) across [shards] domains (default 1, the
+    sequential path on the calling domain); every shard count gives the
+    same result ({!Sharding.equal_result}).  Returns the [scale_result]
+    view plus the raw {!Sharding.result} (partition, per-shard stats).
+    [load_max_events] bounds the whole run's event count: a load it
+    stops reports [load_settled = false] with [load_seconds = nan], and
+    an unfinished withdrawal reports [nan] seconds.  [clock] supplies
+    host time for the load-phase figures (default [Sys.time]; pass
+    [Unix.gettimeofday] for wall clock). *)
 
 val scale_sweep :
   ?pool:Engine.Pool.t ->
@@ -226,12 +202,14 @@ val scale_sweep :
   ?ks:int list ->
   ?runs:int ->
   ?seed:int ->
+  ?load_max_events:int ->
   ?config:Config.t ->
   unit ->
   series
 (** The convergence-vs-centralization curve at scale: withdrawal
     convergence on a loaded CAIDA graph vs centralized member count
-    (top-degree placement). *)
+    (top-degree placement).  [load_max_events] is each run's event
+    budget ({!scale_run}); a run it stops counts as [nan] seconds. *)
 
 type flap_result = {
   collector_updates_total : int;

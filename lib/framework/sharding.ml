@@ -40,6 +40,7 @@ type phase_outcome = {
   ended_at : Engine.Time.t;  (** global quiescence closing the phase *)
   collector_updates : int;  (** collector events during the phase *)
   measurement : Convergence.measurement option;
+  host_seconds : float;  (** shard 0's [clock] time from commands to quiescence *)
 }
 
 type result = {
@@ -65,6 +66,7 @@ type phase_log = {
   l_changes : int;
   l_last_change : Engine.Time.t option;
   l_collector : int;
+  l_host : float;
 }
 
 type shard_out = {
@@ -126,6 +128,8 @@ let run ?(shards = 1) ?(partition_seed = 0) ?budget ?clock ~config ~seed ~phases
      meaningless across shards; keep sharded runs comparable by forcing
      it off for every N, including 1 *)
   let config = { config with Config.causal = Engine.Causal.Disabled } in
+  (* host time of each phase; the merge keeps shard 0's *)
+  let host_clock = Option.value clock ~default:(fun () -> 0.) in
   let partition = Topology.Partition.compute ~seed:partition_seed ~shards spec in
   let shard_of_node node =
     if node < 0 then 0 (* collector and controller live with the SDN cluster *)
@@ -179,7 +183,7 @@ let run ?(shards = 1) ?(partition_seed = 0) ?budget ?clock ~config ~seed ~phases
     let finalize_pending ~max_now =
       match !pending with
       | None -> ()
-      | Some (start, measured, changes_before, collector_before) ->
+      | Some (start, measured, changes_before, collector_before, host_before) ->
         let changes, last_change =
           match measured with
           | None -> (0, None)
@@ -199,6 +203,7 @@ let run ?(shards = 1) ?(partition_seed = 0) ?budget ?clock ~config ~seed ~phases
             l_changes = changes;
             l_last_change = last_change;
             l_collector = Bgp.Collector.event_count collector - collector_before;
+            l_host = host_clock () -. host_before;
           }
           :: !journal;
         pending := None
@@ -221,7 +226,12 @@ let run ?(shards = 1) ?(partition_seed = 0) ?budget ?clock ~config ~seed ~phases
                  | None -> 0
                in
                pending :=
-                 Some (at, phase.measured, changes_before, Bgp.Collector.event_count collector);
+                 Some
+                   ( at,
+                     phase.measured,
+                     changes_before,
+                     Bgp.Collector.event_count collector,
+                     host_clock () );
                List.iter exec_command phase.commands));
         true
     in
@@ -272,6 +282,7 @@ let run ?(shards = 1) ?(partition_seed = 0) ?budget ?clock ~config ~seed ~phases
         let logs = Array.to_list (Array.map (fun o -> List.nth o.o_phases k) outs) in
         let started_at = (List.hd logs).l_start in
         let ended_at = (List.hd logs).l_end in
+        let host_seconds = (List.hd logs).l_host in
         let collector_updates = List.fold_left (fun acc l -> acc + l.l_collector) 0 logs in
         let measurement =
           match phase_specs.(k).measured with
@@ -297,7 +308,7 @@ let run ?(shards = 1) ?(partition_seed = 0) ?budget ?clock ~config ~seed ~phases
                 changes;
               }
         in
-        { started_at; ended_at; collector_updates; measurement })
+        { started_at; ended_at; collector_updates; measurement; host_seconds })
   in
   {
     shards;
@@ -315,8 +326,8 @@ let run ?(shards = 1) ?(partition_seed = 0) ?budget ?clock ~config ~seed ~phases
     stats;
   }
 
-(* Deterministic projection of a result — everything except wall-clock
-   stall times; two runs of the same experiment at different shard
+(* Deterministic projection of a result — everything except host-clock
+   phase and stall times; two runs of the same experiment at different shard
    counts must agree on this. *)
 type signature = {
   g_phases : (Engine.Time.t * Engine.Time.t * int * Convergence.measurement option) list;

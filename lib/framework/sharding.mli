@@ -30,6 +30,9 @@ type phase_outcome = {
   ended_at : Engine.Time.t;  (** global quiescence closing the phase *)
   collector_updates : int;  (** collector events during the phase *)
   measurement : Convergence.measurement option;
+  host_seconds : float;
+      (** host time from the phase's commands to its quiescence, read with
+          [clock] on shard 0 (0 without [clock]) *)
 }
 
 type result = {
@@ -60,11 +63,11 @@ val run :
 (** Build and execute the sharded run.  [budget] bounds the total
     real-event count across all shards (checked at epoch boundaries;
     deterministic overshoot of at most one epoch).  [clock] feeds
-    barrier-stall accounting only.
+    barrier-stall accounting and [host_seconds] only.
     @raise Invalid_argument on [shards < 1], a zero-delay link, or a
     lossy link. *)
 
 val equal_result : result -> result -> bool
 (** Deterministic-field equality: phases, merged metrics, collector
     stream, RIB sums, end time and settledness — everything except
-    wall-clock shard stats.  The shards=N-vs-1 differential check. *)
+    host-clock phase times and shard stats.  The shards=N-vs-1 differential check. *)

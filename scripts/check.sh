@@ -39,11 +39,8 @@ dune build @trace-smoke
 step "bench smoke (quick sweep + JSON baseline validation)"
 dune build @bench-smoke
 
-step "scale smoke (reduced 500-AS run + PR 8 baseline ratio guards)"
+step "scale smoke (500-AS run, 2 shards == 1 differential + PR 8/9 baseline guards)"
 dune build @scale-smoke
-
-step "shard smoke (500-AS sharded run == sequential differential + PR 9 baseline guards)"
-dune build @shard-smoke
 
 step "loss smoke (data-plane loss sweep differential + PR 10 baseline guards)"
 dune build @loss-smoke

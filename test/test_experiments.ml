@@ -152,6 +152,30 @@ let test_run_results_deterministic () =
   Alcotest.(check int) "identical changes" a.Framework.Experiments.changes
     b.Framework.Experiments.changes
 
+(* The sweep threads its event budget to every run: a budget far below
+   the load's needs leaves each point unsettled, reported as nan seconds
+   rather than a number; the default budget settles. *)
+let test_scale_sweep_budget () =
+  let sweep ?load_max_events () =
+    Framework.Experiments.scale_sweep ~tier1:2 ~tier2:4 ~stubs:10 ~prefixes:6 ~ks:[ 0; 2 ]
+      ~runs:1 ~seed:3 ?load_max_events ~config:cfg ()
+  in
+  let seconds s =
+    List.concat_map
+      (fun (p : Framework.Experiments.point) ->
+        List.map
+          (fun (r : Framework.Experiments.run_result) -> r.Framework.Experiments.seconds)
+          p.Framework.Experiments.results)
+      s.Framework.Experiments.points
+  in
+  List.iter
+    (fun x -> Alcotest.(check bool) (Fmt.str "tiny budget: nan, got %g" x) true (Float.is_nan x))
+    (seconds (sweep ~load_max_events:50 ()));
+  List.iter
+    (fun x -> Alcotest.(check bool) (Fmt.str "default budget: finite, got %g" x) true
+        (Float.is_finite x))
+    (seconds (sweep ()))
+
 let test_guards () =
   (match Framework.Experiments.clique_run ~n:4 ~sdn:3 ~event:Framework.Experiments.Withdrawal ~seed:1 ~config:cfg () with
   | exception Invalid_argument _ -> ()
@@ -174,5 +198,6 @@ let suite =
     Alcotest.test_case "scaling sweep" `Slow test_scaling_sweep;
     Alcotest.test_case "sub-cluster resilience" `Quick test_subcluster_resilience;
     Alcotest.test_case "determinism" `Quick test_run_results_deterministic;
+    Alcotest.test_case "scale sweep honours its budget" `Quick test_scale_sweep_budget;
     Alcotest.test_case "argument guards" `Quick test_guards;
   ]

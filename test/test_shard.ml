@@ -228,8 +228,8 @@ let test_caida_chaos_differential () =
 
 let test_scale_shard_differential () =
   let run shards =
-    Framework.Experiments.scale_shard_run ~tier1:2 ~tier2:4 ~stubs:10 ~prefixes:6 ~sdn:2
-      ~shards ~seed:3 ~config:cfg ()
+    Framework.Experiments.scale_run ~tier1:2 ~tier2:4 ~stubs:10 ~prefixes:6 ~sdn:2 ~shards
+      ~seed:3 ~config:cfg ()
   in
   let s1, r1 = run 1 in
   Alcotest.(check bool) "load settled" true s1.Framework.Experiments.load_settled;
@@ -242,28 +242,38 @@ let test_scale_shard_differential () =
     "rib routes agree" s1.Framework.Experiments.rib_routes s2.Framework.Experiments.rib_routes;
   Alcotest.(check (float 1e-9))
     "convergence agrees" s1.Framework.Experiments.withdrawal.Framework.Experiments.seconds
-    s2.Framework.Experiments.withdrawal.Framework.Experiments.seconds;
-  (* scale_run ?shards dispatches to the same path *)
-  let via_scale_run =
-    Framework.Experiments.scale_run ~tier1:2 ~tier2:4 ~stubs:10 ~prefixes:6 ~sdn:2 ~shards:2
-      ~seed:3 ~config:cfg ()
-  in
-  Alcotest.(check int)
-    "scale_run ~shards same tables" s1.Framework.Experiments.rib_routes
-    via_scale_run.Framework.Experiments.rib_routes
+    s2.Framework.Experiments.withdrawal.Framework.Experiments.seconds
+
+(* Figures of the former sequential scale driver (direct [Network] calls,
+   per-phase budgets), recorded before it was deleted: the one driver at
+   shards = 1 must reproduce them. *)
+let test_scale_run_golden () =
+  List.iter
+    (fun (sdn, load_updates, rib, adj, seconds, changes, collector) ->
+      let r, _ =
+        Framework.Experiments.scale_run ~tier1:2 ~tier2:4 ~stubs:10 ~prefixes:6 ~sdn ~seed:3
+          ~config:cfg ()
+      in
+      let w = r.Framework.Experiments.withdrawal in
+      let name what = Fmt.str "sdn %d: %s" sdn what in
+      Alcotest.(check bool) (name "load settled") true r.Framework.Experiments.load_settled;
+      Alcotest.(check int) (name "load updates") load_updates
+        r.Framework.Experiments.load_updates;
+      Alcotest.(check int) (name "Loc-RIB routes") rib r.Framework.Experiments.rib_routes;
+      Alcotest.(check int) (name "Adj-RIB-In routes") adj
+        r.Framework.Experiments.adj_in_routes;
+      Alcotest.(check (float 1e-9)) (name "Tdown") seconds w.Framework.Experiments.seconds;
+      Alcotest.(check int) (name "changes") changes w.Framework.Experiments.changes;
+      Alcotest.(check int) (name "collector updates") collector
+        w.Framework.Experiments.collector_updates)
+    [ (0, 96, 96, 142, 3.779655, 40, 36); (2, 98, 84, 119, 3.976148, 32, 30) ]
 
 let test_sharding_guards () =
   let spec = clique_spec ~n:4 ~sdn:0 in
   let phases = announce_withdraw_phases spec (Topology.Artificial.asn 3) in
-  (match Sharding.run ~shards:0 ~config:cfg ~seed:1 ~phases spec with
+  match Sharding.run ~shards:0 ~config:cfg ~seed:1 ~phases spec with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "shards=0 must raise");
-  match
-    Framework.Experiments.scale_run ~tier1:2 ~tier2:4 ~stubs:10 ~shards:2 ~phase_wall_s:1.0
-      ~seed:1 ~config:cfg ()
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "phase_wall_s with ~shards must raise"
+  | _ -> Alcotest.fail "shards=0 must raise"
 
 let test_budget_stops_deterministically () =
   let spec = clique_spec ~n:8 ~sdn:0 in
@@ -289,6 +299,7 @@ let suite =
     Alcotest.test_case "sdn clique shards {1,2,3} identical" `Quick test_clique_sdn_differential;
     Alcotest.test_case "caida chaos shards 2 == 1" `Slow test_caida_chaos_differential;
     Alcotest.test_case "scale run shards 2 == 1" `Slow test_scale_shard_differential;
+    Alcotest.test_case "scale run golden at shards 1" `Quick test_scale_run_golden;
     Alcotest.test_case "sharding: guards" `Quick test_sharding_guards;
     Alcotest.test_case "budget stop is deterministic" `Quick test_budget_stops_deterministically;
   ]
