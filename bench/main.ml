@@ -1067,10 +1067,10 @@ let () =
      unconditionally compacts the heap until the live-word count settles
      before every test (and, with [stabilize], before every sample) —
      and after the macro sections the major heap holds tens of millions
-     of words laced with the attribute interner's weak tables, whose
-     entries keep dropping across compactions, so every stabilization
-     ran the full 10-compaction cycle at seconds per compaction: the
-     section cost ~17 minutes at the tail of the run and its
+     of words (the attribute interner's domain-local tables, strong and
+     never cleared, among them), so each compaction takes seconds, and a
+     stabilization that does not settle runs the full 10-compaction
+     cycle: the section cost ~17 minutes at the tail of the run and its
      nanosecond-scale fits absorbed the inflated cache pressure.  At
      process start the same stabilization is milliseconds.  (The worker
      domains of a --jobs run exist already and add stop-the-world minor

@@ -24,7 +24,8 @@ type t = private {
     are immutable and must never be mutated through [Obj] tricks.  Intern
     tables and ids are domain-local ([Engine.Pool] runs each experiment on
     one domain); ids are only meaningful for equality within a domain and
-    must never be used for ordering. *)
+    must never be used for ordering.  A value that crossed domains must go
+    through {!rehash} before any other function here is applied to it. *)
 
 val default_local_pref : int
 
@@ -45,7 +46,14 @@ val path_length : t -> int
 val path_contains : t -> Net.Asn.t -> bool
 
 val prepend : t -> Net.Asn.t -> t
-(** Prepend an ASN (what an eBGP speaker does on export). *)
+(** Prepend an ASN. *)
+
+val export : t -> asn:Net.Asn.t -> times:int -> next_hop:Net.Ipv4.addr -> local_pref:int -> t
+(** What an eBGP speaker advertises: [asn] prepended [times] times, with
+    the given next hop and local-pref.  The same value as
+    [prepend]{^times} followed by [with_next_hop] and [with_local_pref],
+    built with one intern, so it adds at most one full set where the chain
+    adds up to [times + 2]. *)
 
 val origin_as : t -> Net.Asn.t option
 (** Rightmost (originating) AS of the path. *)
@@ -81,8 +89,10 @@ type intern_stats = {
 }
 
 val intern_stats : unit -> intern_stats
-(** Sizes of this domain's intern tables (distinct AS-paths, wire-visible
-    sets, full sets) — for tests and memory accounting. *)
+(** Sizes of this domain's intern tables — for tests and memory
+    accounting.  [distinct_paths] counts canonical paths, every suffix of
+    an interned path included; [distinct_wire] the wire-visible sets;
+    [distinct_full] every full set ever interned on this domain. *)
 
 val pp_path : Format.formatter -> Net.Asn.t list -> unit
 

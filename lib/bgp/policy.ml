@@ -88,12 +88,15 @@ let export_allowed ~to_rel ~provenance =
     | From (Customer | Sibling | Unrestricted) -> true
     | From (Peer | Provider) -> false)
 
-let export t ~provenance ~prefix (attrs : Attrs.t) =
-  if not (t.export_prefix_filter prefix) then None
-  else if Attrs.has_community attrs Community.no_export then None
-  else if Attrs.has_community attrs Community.no_advertise then None
-  else if not (export_allowed ~to_rel:t.relationship ~provenance) then None
-  else Some attrs
+(* Whether a route may be advertised to a neighbor governed by [t].  None
+   of the checks reads what export then changes (prepends, next hop,
+   local-pref), so callers check first and build the exported attrs only
+   for routes that pass. *)
+let may_export t ~provenance ~prefix ~communities =
+  t.export_prefix_filter prefix
+  && (not (Community.Set.mem Community.no_export communities))
+  && (not (Community.Set.mem Community.no_advertise communities))
+  && export_allowed ~to_rel:t.relationship ~provenance
 
 let pp ppf t =
   Fmt.pf ppf "%s lp=%d" (relationship_to_string t.relationship) t.local_pref

@@ -35,8 +35,11 @@ type route_provenance = From of relationship | Originated
 val export_allowed : to_rel:relationship -> provenance:route_provenance -> bool
 (** The valley-free export predicate. *)
 
-val export : t -> provenance:route_provenance -> prefix:Net.Ipv4.prefix -> Attrs.t -> Attrs.t option
-(** Export processing toward a neighbor governed by [t]: valley-free rule,
-    prefix filter, NO_EXPORT/NO_ADVERTISE.  [None] = do not advertise. *)
+val may_export :
+  t -> provenance:route_provenance -> prefix:Net.Ipv4.prefix -> communities:Community.Set.t -> bool
+(** Export check toward a neighbor governed by [t]: prefix filter,
+    NO_EXPORT/NO_ADVERTISE in the route's [communities], valley-free rule.
+    Nothing it reads is changed by export, so it runs before the exported
+    attrs are built ({!Attrs.export}). *)
 
 val pp : Format.formatter -> t -> unit

@@ -304,18 +304,19 @@ let desired_export t prefix best peer =
   match best with
   | None -> None
   | Some route ->
+    let attrs = Route.attrs route in
     if Route.from_peer route = Some peer.peer_asn then None
-    else if Attrs.path_contains (Route.attrs route) peer.peer_asn then None
-    else begin
-      let rec prepend_n n a = if n <= 0 then a else prepend_n (n - 1) (Attrs.prepend a t.asn) in
-      let attrs =
-        Route.attrs route
-        |> prepend_n (1 + Policy.export_prepend peer.policy)
-        |> (fun a -> Attrs.with_next_hop a t.router_id)
-        |> fun a -> Attrs.with_local_pref a Attrs.default_local_pref
-      in
-      Policy.export peer.policy ~provenance:(provenance t route) ~prefix attrs
-    end
+    else if Attrs.path_contains attrs peer.peer_asn then None
+    else if
+      not
+        (Policy.may_export peer.policy ~provenance:(provenance t route) ~prefix
+           ~communities:attrs.Attrs.communities)
+    then None
+    else
+      Some
+        (Attrs.export attrs ~asn:t.asn
+           ~times:(1 + Policy.export_prepend peer.policy)
+           ~next_hop:t.router_id ~local_pref:Attrs.default_local_pref)
 
 let export_to_peer t prefix best peer =
   if peer.established then begin

@@ -156,13 +156,12 @@ let announcement t ~member ~neighbor prefix decision_map =
     else begin
       let as_path = member :: d.As_graph.as_path in
       if List.exists (Net.Asn.equal neighbor) as_path then None
-      else begin
-        let attrs =
-          Bgp.Attrs.make ~as_path ~next_hop:(t.addr_of_member member) ()
-        in
-        let policy = t.policy_of ~member ~neighbor in
-        Bgp.Policy.export policy ~provenance:d.As_graph.provenance ~prefix attrs
-      end
+      else if
+        not
+          (Bgp.Policy.may_export (t.policy_of ~member ~neighbor)
+             ~provenance:d.As_graph.provenance ~prefix ~communities:Bgp.Community.Set.empty)
+      then None
+      else Some (Bgp.Attrs.make ~as_path ~next_hop:(t.addr_of_member member) ())
     end
 
 let sync_session t ~member ~neighbor prefix decision_map =

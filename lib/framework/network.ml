@@ -319,9 +319,10 @@ let create ?(config = Config.default) ?(order = Engine.Sim.Seq) ?(owned = fun _ 
   Net.Asn.Map.iter
     (fun asn router ->
       let fib = Net.Asn.Map.find asn fibs in
+      let node = Net.Asn.to_string asn in
       Bgp.Router.subscribe_best_change router (fun prefix best ->
           if Engine.Causal.enabled (Engine.Sim.causal sim) then
-            Engine.Sim.annotate sim ~category:"fib.write" ~node:(Net.Asn.to_string asn)
+            Engine.Sim.annotate sim ~category:"fib.write" ~node
               ~label:(Net.Ipv4.prefix_to_string prefix) ();
           match best with
           | Some route -> (

@@ -35,7 +35,41 @@ let pp_addr ppf a =
   let o1, o2, o3, o4 = octets a in
   Fmt.pf ppf "%d.%d.%d.%d" o1 o2 o3 o4
 
-let addr_to_string a = Fmt.str "%a" pp_addr a
+(* Dotted-quad digits written straight into a buffer: the flight recorder
+   names a prefix per FIB write, and [Fmt.str] costs far more than this.
+   Same bytes as [pp_addr]. *)
+let write_octet buf pos o =
+  if o >= 100 then begin
+    Bytes.unsafe_set buf pos (Char.unsafe_chr (48 + (o / 100)));
+    Bytes.unsafe_set buf (pos + 1) (Char.unsafe_chr (48 + (o / 10 mod 10)));
+    Bytes.unsafe_set buf (pos + 2) (Char.unsafe_chr (48 + (o mod 10)));
+    pos + 3
+  end
+  else if o >= 10 then begin
+    Bytes.unsafe_set buf pos (Char.unsafe_chr (48 + (o / 10)));
+    Bytes.unsafe_set buf (pos + 1) (Char.unsafe_chr (48 + (o mod 10)));
+    pos + 2
+  end
+  else begin
+    Bytes.unsafe_set buf pos (Char.unsafe_chr (48 + o));
+    pos + 1
+  end
+
+(* Writes [a] at the start of [buf] (at least 15 bytes); returns its length. *)
+let write_addr buf a =
+  let bits = Int32.to_int a land 0xffff_ffff in
+  let pos = write_octet buf 0 (bits lsr 24) in
+  Bytes.unsafe_set buf pos '.';
+  let pos = write_octet buf (pos + 1) ((bits lsr 16) land 0xff) in
+  Bytes.unsafe_set buf pos '.';
+  let pos = write_octet buf (pos + 1) ((bits lsr 8) land 0xff) in
+  Bytes.unsafe_set buf pos '.';
+  write_octet buf (pos + 1) (bits land 0xff)
+
+let addr_to_string a =
+  let buf = Bytes.create 15 in
+  let n = write_addr buf a in
+  Bytes.sub_string buf 0 n
 
 let addr_of_string s =
   match String.split_on_char '.' (String.trim s) with
@@ -84,7 +118,12 @@ let subsumes ~outer ~inner =
 
 let pp_prefix ppf p = Fmt.pf ppf "%a/%d" pp_addr p.network p.len
 
-let prefix_to_string p = Fmt.str "%a" pp_prefix p
+let prefix_to_string p =
+  let buf = Bytes.create 18 in
+  let n = write_addr buf p.network in
+  Bytes.unsafe_set buf n '/';
+  let n = write_octet buf (n + 1) p.len in
+  Bytes.sub_string buf 0 n
 
 let prefix_of_string s =
   match String.split_on_char '/' (String.trim s) with

@@ -122,6 +122,88 @@ let test_intern_stats_monotone () =
   Alcotest.(check bool) "full >= wire" true
     (s1.Bgp.Attrs.distinct_full >= s1.Bgp.Attrs.distinct_wire)
 
+(* --- The fused export constructor and the intern tables ---------------- *)
+
+let stats () = Bgp.Attrs.intern_stats ()
+
+(* The chain the export path used before [Attrs.export] existed. *)
+let export_chain a ~asn ~times ~next_hop =
+  let rec prepend_n n a = if n <= 0 then a else prepend_n (n - 1) (Bgp.Attrs.prepend a asn) in
+  Bgp.Attrs.with_local_pref
+    (Bgp.Attrs.with_next_hop (prepend_n times a) next_hop)
+    Bgp.Attrs.default_local_pref
+
+let export_case_gen =
+  QCheck.Gen.(
+    let comms =
+      oneofl
+        [
+          Bgp.Community.Set.empty;
+          Bgp.Community.Set.singleton (Bgp.Community.make 65000 7);
+          Bgp.Community.Set.of_list [ Bgp.Community.make 1 2; Bgp.Community.no_export ];
+        ]
+    in
+    pair (pair attrs_spec_gen comms)
+      (triple (int_range 1 0xFFFF_FFFF) (int_range 1 3) (int_range 0 255)))
+
+let prop_export_is_the_chain =
+  QCheck.Test.make ~name:"fused export == the prepend/next-hop/local-pref chain" ~count:500
+    (QCheck.make
+       ~print:(fun (((p, lp, med), _), (a, times, nh)) ->
+         Fmt.str "path=%a lp=%d med=%d asn=%d times=%d nh=%d" Fmt.(Dump.list int) p lp med a
+           times nh)
+       export_case_gen)
+    (fun (((path, lp, med), communities), (a, times, octet)) ->
+      let base =
+        Bgp.Attrs.make ~as_path:(List.map asn path) ~local_pref:lp ~med ~communities
+          ~next_hop:nh ()
+      in
+      let asn = asn a and next_hop = Net.Ipv4.addr_of_octets 10 1 0 octet in
+      let before = (stats ()).Bgp.Attrs.distinct_full in
+      let fused =
+        Bgp.Attrs.export base ~asn ~times ~next_hop ~local_pref:Bgp.Attrs.default_local_pref
+      in
+      let grown = (stats ()).Bgp.Attrs.distinct_full - before in
+      grown <= 1 && fused == export_chain base ~asn ~times ~next_hop)
+
+(* A path long enough that a hash reading only its first cells would put
+   both in one bucket; they must still intern apart. *)
+let test_long_shared_prefix_paths () =
+  let shared = List.init 12 (fun i -> asn (64600 + i)) in
+  let a = Bgp.Attrs.make ~as_path:(shared @ [ asn 64700; asn 64701 ]) ~next_hop:nh () in
+  let b = Bgp.Attrs.make ~as_path:(shared @ [ asn 64700; asn 64702 ]) ~next_hop:nh () in
+  Alcotest.(check bool) "distinct values" false (a == b);
+  Alcotest.(check bool) "distinct wire ids" false (Bgp.Attrs.wire_equal a b);
+  Alcotest.(check bool) "distinct paths" false (Bgp.Attrs.as_path a == Bgp.Attrs.as_path b)
+
+let test_independent_equal_paths_shared () =
+  let fresh () = List.init 15 (fun i -> asn (64800 + i)) in
+  let a = Bgp.Attrs.make ~as_path:(fresh ()) ~med:3 ~next_hop:nh () in
+  let b = Bgp.Attrs.make ~as_path:(fresh ()) ~med:3 ~next_hop:nh () in
+  Alcotest.(check bool) "same value" true (a == b);
+  (* built by prepends onto a shorter canonical path *)
+  let tail = Bgp.Attrs.make ~as_path:(List.tl (List.tl (fresh ()))) ~med:3 ~next_hop:nh () in
+  let c = Bgp.Attrs.prepend (Bgp.Attrs.prepend tail (asn 64801)) (asn 64800) in
+  Alcotest.(check bool) "prepends reach the same value" true (a == c);
+  Alcotest.(check bool) "one canonical path" true (Bgp.Attrs.as_path a == Bgp.Attrs.as_path c);
+  Alcotest.(check bool) "canonical tails" true
+    (List.tl (List.tl (Bgp.Attrs.as_path a)) == Bgp.Attrs.as_path tail)
+
+(* A hit must not allocate a key: words per hit over 10k hits of sets that
+   already exist.  Per-call tuple or list keys cost well over 10 words. *)
+let test_intern_hit_allocation () =
+  let a = Bgp.Attrs.make ~as_path:(List.init 8 (fun i -> asn (64900 + i))) ~next_hop:nh () in
+  let b = Bgp.Attrs.with_local_pref a 130 in
+  ignore (Bgp.Attrs.with_local_pref a 110);
+  let hits = 10_000 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to hits / 2 do
+    ignore (Sys.opaque_identity (Bgp.Attrs.rehash a));
+    ignore (Sys.opaque_identity (Bgp.Attrs.with_local_pref (if i land 1 = 0 then a else b) 110))
+  done;
+  let per_hit = (Gc.minor_words () -. w0) /. float_of_int hits in
+  Alcotest.(check bool) (Fmt.str "%.2f words per hit <= 1" per_hit) true (per_hit <= 1.0)
+
 let suite =
   [
     Alcotest.test_case "prepend" `Quick test_prepend;
@@ -133,4 +215,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_same_spec_physically_equal;
     QCheck_alcotest.to_alcotest prop_table_growth_bounded;
     Alcotest.test_case "intern stats monotone" `Quick test_intern_stats_monotone;
+    QCheck_alcotest.to_alcotest prop_export_is_the_chain;
+    Alcotest.test_case "long shared-prefix paths" `Quick test_long_shared_prefix_paths;
+    Alcotest.test_case "independent equal paths shared" `Quick
+      test_independent_equal_paths_shared;
+    Alcotest.test_case "intern hit allocation" `Quick test_intern_hit_allocation;
   ]

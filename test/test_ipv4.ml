@@ -93,6 +93,27 @@ let prop_subnets_subsumed =
         (fun inner -> Ipv4.subsumes ~outer:parent ~inner)
         (Ipv4.subnets parent ~len:sub_len))
 
+(* The string builders skip [Format]; they must print the very bytes the
+   pretty-printers do (trace and flight-recorder files depend on it). *)
+let prop_to_string_matches_pp =
+  QCheck.Test.make ~name:"to_string bytes equal the pretty-printers" ~count:1000
+    QCheck.(triple arb_addr (int_range 0 32) (int_range 1 0xFFFF_FFFF))
+    (fun (i, len, n) ->
+      let a = Ipv4.addr_of_int32 i in
+      let pre = Ipv4.prefix a len in
+      let asn = Asn.of_int n in
+      String.equal (Ipv4.addr_to_string a) (Fmt.str "%a" Ipv4.pp_addr a)
+      && String.equal (Ipv4.prefix_to_string pre) (Fmt.str "%a" Ipv4.pp_prefix pre)
+      && String.equal (Asn.to_string asn) (Fmt.str "%a" Asn.pp asn))
+
+let test_to_string_edges () =
+  List.iter
+    (fun (s, len) ->
+      let pre = Ipv4.prefix (Option.get (Ipv4.addr_of_string s)) len in
+      Alcotest.(check string) s (Fmt.str "%a" Ipv4.pp_prefix pre) (Ipv4.prefix_to_string pre))
+    [ ("0.0.0.0", 0); ("255.255.255.255", 32); ("10.9.99.100", 8); ("100.64.10.0", 24) ];
+  Alcotest.(check string) "largest ASN" "AS4294967295" (Asn.to_string (Asn.of_int 0xFFFF_FFFF))
+
 let suite =
   [
     Alcotest.test_case "addr roundtrip" `Quick test_addr_roundtrip;
@@ -107,4 +128,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_addr_string_roundtrip;
     QCheck_alcotest.to_alcotest prop_prefix_contains_network;
     QCheck_alcotest.to_alcotest prop_subnets_subsumed;
+    QCheck_alcotest.to_alcotest prop_to_string_matches_pp;
+    Alcotest.test_case "to_string edge values" `Quick test_to_string_edges;
   ]

@@ -80,21 +80,33 @@ let test_export_matrix () =
 let test_export_no_export_community () =
   let p = make Customer in
   let a = attrs ~communities:(Bgp.Community.Set.singleton Bgp.Community.no_export) () in
-  Alcotest.(check bool) "NO_EXPORT blocked" true
-    (export p ~provenance:Originated ~prefix a = None)
+  Alcotest.(check bool) "NO_EXPORT blocked" false
+    (may_export p ~provenance:Originated ~prefix ~communities:a.Bgp.Attrs.communities);
+  Alcotest.(check bool) "NO_ADVERTISE blocked" false
+    (may_export p ~provenance:Originated ~prefix
+       ~communities:(Bgp.Community.Set.singleton Bgp.Community.no_advertise));
+  Alcotest.(check bool) "other communities pass" true
+    (may_export p ~provenance:Originated ~prefix
+       ~communities:(Bgp.Community.Set.singleton (Bgp.Community.make 65000 1)))
 
 let test_export_prefix_filter () =
   let p = make ~export_prefix_filter:(fun _ -> false) Customer in
-  Alcotest.(check bool) "filter blocks" true
-    (export p ~provenance:Originated ~prefix (attrs ()) = None)
+  Alcotest.(check bool) "filter blocks" false
+    (may_export p ~provenance:Originated ~prefix ~communities:Bgp.Community.Set.empty)
 
+(* The check passes a customer route up to a provider, and what is then
+   advertised is the route's own path with the exporter prepended. *)
 let test_export_passes_attrs_through () =
   let p = make Provider in
-  match export p ~provenance:(From Customer) ~prefix (attrs ~path:[ 65009 ] ()) with
-  | Some a ->
-    Alcotest.(check (list int)) "path unchanged by export policy" [ 65009 ]
-      (List.map Net.Asn.to_int (Bgp.Attrs.as_path a))
-  | None -> Alcotest.fail "customer route must export to provider"
+  let a = attrs ~path:[ 65009 ] () in
+  Alcotest.(check bool) "customer route exports to provider" true
+    (may_export p ~provenance:(From Customer) ~prefix ~communities:a.Bgp.Attrs.communities);
+  let out =
+    Bgp.Attrs.export a ~asn:(Net.Asn.of_int 65001) ~times:1 ~next_hop:nh
+      ~local_pref:Bgp.Attrs.default_local_pref
+  in
+  Alcotest.(check (list int)) "path kept behind the prepend" [ 65001; 65009 ]
+    (List.map Net.Asn.to_int (Bgp.Attrs.as_path out))
 
 (* Gao-Rexford safety: a route never traverses customer->provider or
    peer after having gone "down" — equivalently an exported route's

@@ -274,6 +274,45 @@ let test_export_prepending () =
   | Some r -> Alcotest.(check (list int)) "transit path wins" [ 65002; 65001 ] (path_of r)
   | None -> Alcotest.fail "d must route"
 
+(* The export check runs before the exported attrs are built: a route
+   learned from a provider, refused toward a peer and another provider,
+   must not leave sets in the intern tables. *)
+let test_refused_export_interns_nothing () =
+  let h = make_harness () in
+  let r = add_router h 65010
+  and up = add_router h 65011
+  and q = add_router h 65012
+  and up2 = add_router h 65013 in
+  peer_pair ~rel_ab:Bgp.Policy.Provider ~rel_ba:Bgp.Policy.Customer r up;
+  peer_pair ~rel_ab:Bgp.Policy.Peer ~rel_ba:Bgp.Policy.Peer r q;
+  peer_pair ~rel_ab:Bgp.Policy.Provider ~rel_ba:Bgp.Policy.Customer r up2;
+  List.iter Bgp.Router.start [ r; up; q; up2 ];
+  run h;
+  let prefix = p "100.64.77.0/24" in
+  let learned =
+    Bgp.Attrs.make
+      ~as_path:[ asn 65011; asn 65077 ]
+      ~next_hop:(Net.Ipv4.addr_of_octets 10 0 11 1)
+      ()
+  in
+  (* what import stores, interned up front so only exports could add sets *)
+  ignore (Bgp.Attrs.with_local_pref learned (Bgp.Policy.default_local_pref Bgp.Policy.Provider));
+  let before = Bgp.Attrs.intern_stats () in
+  Bgp.Router.handle_message r ~from:(Bgp.Router.node_id up)
+    (Bgp.Message.Update { announced = [ (prefix, learned) ]; withdrawn = [] });
+  run h;
+  Alcotest.(check bool) "route selected" true (Bgp.Router.best r prefix <> None);
+  Alcotest.(check bool) "not exported to the peer" true (Bgp.Router.best q prefix = None);
+  Alcotest.(check bool) "not exported to the other provider" true
+    (Bgp.Router.best up2 prefix = None);
+  let after = Bgp.Attrs.intern_stats () in
+  Alcotest.(check int) "paths unchanged" before.Bgp.Attrs.distinct_paths
+    after.Bgp.Attrs.distinct_paths;
+  Alcotest.(check int) "wire sets unchanged" before.Bgp.Attrs.distinct_wire
+    after.Bgp.Attrs.distinct_wire;
+  Alcotest.(check int) "full sets unchanged" before.Bgp.Attrs.distinct_full
+    after.Bgp.Attrs.distinct_full
+
 let test_stats_counted () =
   let h = make_harness () in
   let a = add_router h 65001 and b = add_router h 65002 in
@@ -301,5 +340,7 @@ let suite =
     Alcotest.test_case "session down flushes" `Quick test_session_down_flushes;
     Alcotest.test_case "re-establish resyncs" `Quick test_reestablish_resyncs;
     Alcotest.test_case "export prepending" `Quick test_export_prepending;
+    Alcotest.test_case "refused export interns nothing" `Quick
+      test_refused_export_interns_nothing;
     Alcotest.test_case "stats counted" `Quick test_stats_counted;
   ]
