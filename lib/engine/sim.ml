@@ -136,12 +136,6 @@ let profile t =
     t.profile []
   |> List.sort (fun a b -> String.compare a.category b.category)
 
-let pp_profile ppf t =
-  Fmt.pf ppf "%-24s %10s %12s@." "category" "events" "self-s";
-  List.iter
-    (fun r -> Fmt.pf ppf "%-24s %10d %12.6f@." r.category r.events r.seconds)
-    (profile t)
-
 let category_counter cache metrics name category =
   match Hashtbl.find_opt cache category with
   | Some c -> c

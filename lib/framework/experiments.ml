@@ -16,7 +16,7 @@ let event_to_string = function
 type run_result = {
   seconds : float; (* convergence time of the measured event *)
   changes : int; (* control-plane best-route changes during it *)
-  collector_updates : int; (* updates seen by the route collector *)
+  collector_updates : int; (* route-collector updates during the measured event *)
   restore_mean : float; (* mean per-AS data-plane restoration (failover) *)
   restore_max : float; (* slowest AS's restoration (failover) *)
   metrics : Engine.Metrics.snapshot; (* whole-stack telemetry at run end *)
@@ -38,6 +38,22 @@ let box_of results = Engine.Stats.boxplot (List.map (fun r -> r.seconds) results
    ASes centralized.  The origin AS (node 0) always stays legacy, as in
    the paper's experiment where the withdrawn prefix belongs to the
    legacy world. *)
+(* The measured event of a run: [event] under [Experiment.measure], with
+   [collector_updates] counting only what the route collector saw during
+   it (not the bootstrap announcement before it). *)
+let measured_run exp ~prefix event =
+  let collector = Network.collector (Experiment.network exp) in
+  let before = Bgp.Collector.event_count collector in
+  let measured = Experiment.measure exp ~prefix event in
+  {
+    seconds = Experiment.convergence_seconds measured;
+    changes = measured.Convergence.changes;
+    collector_updates = Bgp.Collector.event_count collector - before;
+    restore_mean = nan;
+    restore_max = nan;
+    metrics = Experiment.final_metrics exp;
+  }
+
 let clique_run ~n ~sdn ~event ~seed ~config () =
   if sdn > n - 2 then invalid_arg "Experiments.clique_run: sdn must leave origin + 1 legacy";
   let spec = Topology.Artificial.clique n in
@@ -46,29 +62,12 @@ let clique_run ~n ~sdn ~event ~seed ~config () =
   let exp = Experiment.create ~config ~seed spec in
   let origin = Topology.Artificial.asn 0 in
   let prefix = Experiment.default_prefix exp origin in
-  let collector = Network.collector (Experiment.network exp) in
-  (* For withdrawals, [collector_updates] counts only the measured
-     (post-announcement) phase, not the bootstrap announcement's churn. *)
-  let baseline = ref 0 in
-  let measured =
-    match event with
-    | Announcement ->
-      Experiment.measure exp ~prefix (fun () -> ignore (Experiment.announce exp origin))
-    | Withdrawal ->
-      ignore (Experiment.measure exp ~prefix (fun () -> ignore (Experiment.announce exp origin)));
-      baseline := Bgp.Collector.event_count collector;
-      Experiment.measure exp ~prefix (fun () -> ignore (Experiment.withdraw exp origin))
-    | Failover -> invalid_arg "Experiments.clique_run: use failover_run"
-  in
-  let collector_updates = Bgp.Collector.event_count collector - !baseline in
-  {
-    seconds = Experiment.convergence_seconds measured;
-    changes = measured.Convergence.changes;
-    collector_updates;
-    restore_mean = nan;
-    restore_max = nan;
-    metrics = Experiment.final_metrics exp;
-  }
+  match event with
+  | Announcement -> measured_run exp ~prefix (fun () -> ignore (Experiment.announce exp origin))
+  | Withdrawal ->
+    ignore (Experiment.measure exp ~prefix (fun () -> ignore (Experiment.announce exp origin)));
+    measured_run exp ~prefix (fun () -> ignore (Experiment.withdraw exp origin))
+  | Failover -> invalid_arg "Experiments.clique_run: use failover_run"
 
 (* Fail-over: a stub's short primary path (into clique member 0) dies and
    the network must fall back to a strictly longer backup chain (into
@@ -87,7 +86,6 @@ let failover_run ~n ~sdn ~seed ~config () =
   let primary = Topology.Artificial.asn 0 in
   let prefix = Experiment.default_prefix exp stub in
   ignore (Experiment.measure exp ~prefix (fun () -> ignore (Experiment.announce exp stub)));
-  let collector = Network.collector (Experiment.network exp) in
   (* Track per-AS data-plane restoration (the paper's end-to-end video
      interruption): sample forwarding state every 100 ms after the
      failure and record each AS's first instant of renewed reachability
@@ -110,22 +108,17 @@ let failover_run ~n ~sdn ~seed ~config () =
       && Engine.Time.(elapsed < Engine.Time.sec 3600)
     then ignore (Engine.Sim.schedule_after sim (Engine.Time.ms 100) sample)
   in
-  let measured =
-    Experiment.measure exp ~prefix (fun () ->
+  let r =
+    measured_run exp ~prefix (fun () ->
         event_time := Engine.Sim.now sim;
         Experiment.fail_link exp stub primary;
         sample ())
   in
   let restore_times = Hashtbl.fold (fun _ t acc -> t :: acc) restored [] in
-  let restore_mean = Engine.Stats.mean restore_times in
-  let restore_max = List.fold_left Float.max 0.0 restore_times in
   {
-    seconds = Experiment.convergence_seconds measured;
-    changes = measured.Convergence.changes;
-    collector_updates = Bgp.Collector.event_count collector;
-    restore_mean;
-    restore_max;
-    metrics = Experiment.final_metrics exp;
+    r with
+    restore_mean = Engine.Stats.mean restore_times;
+    restore_max = List.fold_left Float.max 0.0 restore_times;
   }
 
 (* --- Sweeps --------------------------------------------------------------- *)
@@ -143,11 +136,11 @@ let take_drop k xs =
    through [pool] when given; each task builds its own [Experiment]
    (and thus its own [Sim]/[Metrics]/[Rng]/[Causal]) so nothing mutable
    crosses a domain boundary.  Results come back from [Engine.Pool.map]
-   in submission order, and are regrouped per x here — so the output is
-   bit-identical to the sequential run whatever the pool's scheduling.
-   Without a pool (or with [jobs = 1]) this is plain [List.map]: the
-   sequential path is unchanged. *)
-let sweep_points ?pool ~runs ~seed ~run_at xs =
+   in submission order, and are regrouped per x here by [point] — so the
+   output is bit-identical to the sequential run whatever the pool's
+   scheduling.  Without a pool (or with [jobs = 1]) this is plain
+   [List.map]: the sequential path is unchanged. *)
+let sweep_points ?pool ~runs ~seed ~run_at ~point xs =
   let tasks = List.concat_map (fun x -> List.init runs (fun i -> (x, seed + (1000 * i)))) xs in
   let eval (x, seed) = run_at ~x ~seed in
   let results =
@@ -160,9 +153,11 @@ let sweep_points ?pool ~runs ~seed ~run_at xs =
     | [] -> []
     | x :: rest ->
       let mine, others = take_drop runs results in
-      { x; results = mine; box = box_of mine } :: regroup rest others
+      point x mine :: regroup rest others
   in
   regroup xs results
+
+let run_point x results = { x; results; box = box_of results }
 
 let default_fractions n =
   (* 0, 2, 4, ... n-2 SDN members out of n, as in Fig. 2. *)
@@ -171,7 +166,7 @@ let default_fractions n =
 (* Fig. 2: withdrawal convergence vs SDN fraction. *)
 let fig2_withdrawal ?pool ?(n = 16) ?(runs = 10) ?(seed = 7) ?(config = Config.default) () =
   let points =
-    sweep_points ?pool ~runs ~seed
+    sweep_points ?pool ~runs ~seed ~point:run_point
       ~run_at:(fun ~x ~seed ->
         clique_run ~n ~sdn:(int_of_float x) ~event:Withdrawal ~seed ~config ())
       (List.map float_of_int (default_fractions n))
@@ -181,7 +176,7 @@ let fig2_withdrawal ?pool ?(n = 16) ?(runs = 10) ?(seed = 7) ?(config = Config.d
 (* §4: announcement experiments — smaller reductions. *)
 let announcement_sweep ?pool ?(n = 16) ?(runs = 10) ?(seed = 11) ?(config = Config.default) () =
   let points =
-    sweep_points ?pool ~runs ~seed
+    sweep_points ?pool ~runs ~seed ~point:run_point
       ~run_at:(fun ~x ~seed ->
         clique_run ~n ~sdn:(int_of_float x) ~event:Announcement ~seed ~config ())
       (List.map float_of_int (default_fractions n))
@@ -191,7 +186,7 @@ let announcement_sweep ?pool ?(n = 16) ?(runs = 10) ?(seed = 11) ?(config = Conf
 (* §4: fail-over experiments — smaller reductions. *)
 let failover_sweep ?pool ?(n = 16) ?(runs = 10) ?(seed = 13) ?(config = Config.default) () =
   let points =
-    sweep_points ?pool ~runs ~seed
+    sweep_points ?pool ~runs ~seed ~point:run_point
       ~run_at:(fun ~x ~seed -> failover_run ~n ~sdn:(int_of_float x) ~seed ~config ())
       (List.map float_of_int (default_fractions n))
   in
@@ -202,7 +197,7 @@ let failover_sweep ?pool ?(n = 16) ?(runs = 10) ?(seed = 13) ?(config = Config.d
 let ablation_recompute_delay ?pool ?(n = 16) ?(runs = 10) ?(seed = 17)
     ?(config = Config.default) ?(delays_ms = [ 0; 500; 2000; 8000 ]) () =
   let points =
-    sweep_points ?pool ~runs ~seed
+    sweep_points ?pool ~runs ~seed ~point:run_point
       ~run_at:(fun ~x ~seed ->
         let config = Config.with_recompute_delay config (Engine.Time.ms (int_of_float x)) in
         clique_run ~n ~sdn:(n / 2) ~event:Withdrawal ~seed ~config ())
@@ -215,7 +210,7 @@ let ablation_recompute_delay ?pool ?(n = 16) ?(runs = 10) ?(seed = 17)
 let ablation_mrai ?pool ?(n = 16) ?(runs = 10) ?(seed = 19) ?(config = Config.default)
     ?(mrai_s = [ 5; 15; 30 ]) ~sdn () =
   let points =
-    sweep_points ?pool ~runs ~seed
+    sweep_points ?pool ~runs ~seed ~point:run_point
       ~run_at:(fun ~x ~seed ->
         let config = Config.with_mrai config (Engine.Time.sec (int_of_float x)) in
         clique_run ~n ~sdn ~event:Withdrawal ~seed ~config ())
@@ -228,7 +223,7 @@ let ablation_mrai ?pool ?(n = 16) ?(runs = 10) ?(seed = 19) ?(config = Config.de
 let ablation_wrate ?pool ?(n = 16) ?(runs = 10) ?(seed = 23) ?(config = Config.default) ~sdn ()
     =
   let points =
-    sweep_points ?pool ~runs ~seed
+    sweep_points ?pool ~runs ~seed ~point:run_point
       ~run_at:(fun ~x ~seed ->
         let wrate = x > 0.5 in
         let config =
@@ -245,7 +240,7 @@ let ablation_wrate ?pool ?(n = 16) ?(runs = 10) ?(seed = 23) ?(config = Config.d
 let scaling_sweep ?pool ?(sizes = [ 8; 12; 16; 20; 24 ]) ?(fraction = 0.5) ?(runs = 5)
     ?(seed = 37) ?(config = Config.default) () =
   let points =
-    sweep_points ?pool ~runs ~seed
+    sweep_points ?pool ~runs ~seed ~point:run_point
       ~run_at:(fun ~x ~seed ->
         let n = int_of_float x in
         let sdn = int_of_float (float_of_int n *. fraction) in
@@ -285,18 +280,7 @@ let churn_run ~n ~sdn ~flap_period_s ~seed ~config () =
          (Engine.Time.add base (Engine.Time.span_scale period 0.5))
          (fun () -> Network.withdraw network flapper flap_prefix))
   done;
-  let collector = Network.collector network in
-  let measured =
-    Experiment.measure exp ~prefix (fun () -> ignore (Experiment.withdraw exp origin))
-  in
-  {
-    seconds = Experiment.convergence_seconds measured;
-    changes = measured.Convergence.changes;
-    collector_updates = Bgp.Collector.event_count collector;
-    restore_mean = nan;
-    restore_max = nan;
-    metrics = Experiment.final_metrics exp;
-  }
+  measured_run exp ~prefix (fun () -> ignore (Experiment.withdraw exp origin))
 
 (* --- Deployment placement -------------------------------------------------
 
@@ -332,18 +316,7 @@ let placement_run ~spec ~k ~placement ~origin ~seed ~config () =
   let exp = Experiment.create ~config ~seed spec in
   let prefix = Experiment.default_prefix exp origin in
   ignore (Experiment.measure exp ~prefix (fun () -> ignore (Experiment.announce exp origin)));
-  let collector = Network.collector (Experiment.network exp) in
-  let measured =
-    Experiment.measure exp ~prefix (fun () -> ignore (Experiment.withdraw exp origin))
-  in
-  {
-    seconds = Experiment.convergence_seconds measured;
-    changes = measured.Convergence.changes;
-    collector_updates = Bgp.Collector.event_count collector;
-    restore_mean = nan;
-    restore_max = nan;
-    metrics = Experiment.final_metrics exp;
-  }
+  measured_run exp ~prefix (fun () -> ignore (Experiment.withdraw exp origin))
 
 (* Sweep k for one strategy on an Internet-like topology.  The spec is
    generated once and shared read-only across (possibly parallel) runs;
@@ -353,7 +326,7 @@ let placement_sweep ?pool ?(tier1 = 3) ?(tier2 = 8) ?(stubs = 20) ?(ks = [ 0; 2;
   let spec = Topology.Caida.generate ~tier1 ~tier2 ~stubs (Engine.Rng.create seed) in
   let origin = List.hd (Topology.Caida.stub_asns ~tier1 ~tier2 ~stubs) in
   let points =
-    sweep_points ?pool ~runs ~seed:(seed + 1)
+    sweep_points ?pool ~runs ~seed:(seed + 1) ~point:run_point
       ~run_at:(fun ~x ~seed ->
         placement_run ~spec ~k:(int_of_float x) ~placement ~origin ~seed ~config ())
       (List.map float_of_int ks)
@@ -378,18 +351,7 @@ let table_size_run ~n ~sdn ~background ~seed ~config () =
   let origin = Topology.Artificial.asn 0 in
   let prefix = Experiment.default_prefix exp origin in
   ignore (Experiment.measure exp ~prefix (fun () -> ignore (Experiment.announce exp origin)));
-  let collector = Network.collector (Experiment.network exp) in
-  let measured =
-    Experiment.measure exp ~prefix (fun () -> ignore (Experiment.withdraw exp origin))
-  in
-  {
-    seconds = Experiment.convergence_seconds measured;
-    changes = measured.Convergence.changes;
-    collector_updates = Bgp.Collector.event_count collector;
-    restore_mean = nan;
-    restore_max = nan;
-    metrics = Experiment.final_metrics exp;
-  }
+  measured_run exp ~prefix (fun () -> ignore (Experiment.withdraw exp origin))
 
 (* --- Internet scale -------------------------------------------------------
 
@@ -512,7 +474,7 @@ let scale_sweep ?pool ?(tier1 = 4) ?(tier2 = 24) ?(stubs = 72) ?(prefixes = 200)
     ?(ks = [ 0; 8; 16; 24 ]) ?(runs = 3) ?(seed = 97) ?load_max_events
     ?(config = Config.default) () =
   let points =
-    sweep_points ?pool ~runs ~seed
+    sweep_points ?pool ~runs ~seed ~point:run_point
       ~run_at:(fun ~x ~seed ->
         (fst
            (scale_run ~tier1 ~tier2 ~stubs ~prefixes ~sdn:(int_of_float x) ?load_max_events
@@ -805,32 +767,14 @@ type loss_point = { lp_x : float; lp_results : loss_result list }
 
 type loss_series = { ls_label : string; ls_points : loss_point list }
 
-(* The loss analogue of [sweep_points]: same flattened (x, trial) grid,
-   same submission-order [Engine.Pool.map], so the parallel sweep is
-   bit-identical to the sequential one. *)
-let loss_sweep_points ?pool ~runs ~seed ~run_at xs =
-  let tasks = List.concat_map (fun x -> List.init runs (fun i -> (x, seed + (1000 * i)))) xs in
-  let eval (x, seed) = run_at ~x ~seed in
-  let results =
-    match pool with
-    | Some pool -> Engine.Pool.map pool eval tasks
-    | None -> List.map eval tasks
-  in
-  let rec regroup xs results =
-    match xs with
-    | [] -> []
-    | x :: rest ->
-      let mine, others = take_drop runs results in
-      { lp_x = x; lp_results = mine } :: regroup rest others
-  in
-  regroup xs results
+let loss_point lp_x lp_results = { lp_x; lp_results }
 
 (* Fig. 2's companion curve: data-plane loss duration vs SDN membership
    on the fail-over clique. *)
 let loss_sweep ?pool ?(n = 16) ?(runs = 5) ?(seed = 43) ?(per_prefix = 2) ?(interval_ms = 100)
     ?(config = Config.default) () =
   let points =
-    loss_sweep_points ?pool ~runs ~seed
+    sweep_points ?pool ~runs ~seed ~point:loss_point
       ~run_at:(fun ~x ~seed ->
         loss_run ~per_prefix ~interval_ms ~n ~sdn:(int_of_float x) ~seed ~config ())
       (List.map float_of_int (default_fractions n))
@@ -855,7 +799,7 @@ let loss_sweep_caida ?pool ?(tier1 = 3) ?(tier2 = 8) ?(stubs = 20) ?(ks = [ 0; 2
   in
   let peer = List.hd (Topology.Spec.neighbors spec0 origin) in
   let points =
-    loss_sweep_points ?pool ~runs ~seed:(seed + 1)
+    sweep_points ?pool ~runs ~seed:(seed + 1) ~point:loss_point
       ~run_at:(fun ~x ~seed ->
         let members =
           choose_members ~spec:spec0 ~k:(int_of_float x) ~placement:Top_degree ~origin ~seed

@@ -19,8 +19,8 @@ type run_result = {
   changes : int;  (** control-plane best-route changes during it *)
   collector_updates : int;
       (** updates seen by the route collector during the measured event
-          (for withdrawal runs: the withdrawal phase only, excluding the
-          bootstrap announcement) *)
+          only (for withdrawal and failure runs this excludes the
+          bootstrap announcement before it) *)
   restore_mean : float;  (** mean per-AS data-plane restoration (failover) *)
   restore_max : float;
   metrics : Engine.Metrics.snapshot;  (** whole-stack telemetry at run end *)

@@ -36,13 +36,13 @@ dune build @par-smoke
 step "trace smoke (causal spans: valid Chrome JSON, seed-stable critical path)"
 dune build @trace-smoke
 
-step "bench smoke (quick sweep + JSON baseline validation)"
+step "bench smoke (quick figure sweep: SCALE settles, LOSS leaves no residual issue)"
 dune build @bench-smoke
 
-step "scale smoke (500-AS run, 2 shards == 1 differential + PR 8/9 baseline guards)"
+step "scale smoke (500-AS run settles, 2 shards == 1 differential)"
 dune build @scale-smoke
 
-step "loss smoke (data-plane loss sweep differential + PR 10 baseline guards)"
+step "loss smoke (data-plane loss sweep, parallel == sequential differential)"
 dune build @loss-smoke
 
 printf '\nall checks passed\n'

@@ -274,6 +274,42 @@ let test_loss_run_recovers () =
   Alcotest.(check int) "verifier clean after recovery" 0
     r.Framework.Experiments.residual_issues
 
+(* The fast path allocates nothing per probe: on a settled fail-over
+   network, 100k forwards at the stub cost fewer minor words than probes. *)
+let test_forward_allocation_free () =
+  let spec = Topology.Artificial.failover_backup_chain ~clique_size:8 ~chain_len:2 () in
+  let exp = Framework.Experiment.create ~config:cfg ~seed:73 spec in
+  let stub = Topology.Artificial.stub_asn spec in
+  let prefix = Framework.Experiment.default_prefix exp stub in
+  ignore
+    (Framework.Experiment.measure exp ~prefix (fun () ->
+         ignore (Framework.Experiment.announce exp stub)));
+  let network = Framework.Experiment.network exp in
+  let dp = Framework.Network.dataplane_snapshot network in
+  let plan = Framework.Network.plan network in
+  let dst_bits = Net.Ipv4.addr_to_bits (plan.Framework.Addressing.host_addr stub) in
+  let srcs =
+    Array.of_list
+      (List.map (fun a -> Net.Dataplane.index_of dp (Net.Asn.to_int a)) (Topology.Spec.asns spec))
+  in
+  Array.iter
+    (fun src ->
+      Alcotest.check fate "settled network delivers" Net.Dataplane.Delivered
+        (Net.Dataplane.result_fate (Net.Dataplane.forward dp ~src ~dst_bits ~ttl:64)))
+    srcs;
+  let probes = 100_000 in
+  let sink = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to probes - 1 do
+    sink := !sink + Net.Dataplane.forward dp ~src:srcs.(i mod Array.length srcs) ~dst_bits ~ttl:64
+  done;
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity !sink);
+  Alcotest.(check bool)
+    (Fmt.str "%.0f minor words for %d probes" words probes)
+    true
+    (words < float_of_int probes)
+
 let suite =
   [
     Alcotest.test_case "unit: delivered + local at source" `Quick test_unit_delivered;
@@ -294,4 +330,5 @@ let suite =
     Alcotest.test_case "trafficgen: fate census = verifier census" `Quick
       test_trafficgen_fate_agreement;
     Alcotest.test_case "loss_run: loss clears by convergence" `Quick test_loss_run_recovers;
+    Alcotest.test_case "fast path: no allocation per probe" `Quick test_forward_allocation_free;
   ]

@@ -152,6 +152,37 @@ let test_run_results_deterministic () =
   Alcotest.(check int) "identical changes" a.Framework.Experiments.changes
     b.Framework.Experiments.changes
 
+(* [collector_updates] counts the measured event only: with no
+   background prefixes, the table-size run is the plain withdrawal run,
+   so the bootstrap announcement must not count in either. *)
+let test_collector_updates_measured_only () =
+  let withdrawal =
+    Framework.Experiments.clique_run ~n:6 ~sdn:2 ~event:Framework.Experiments.Withdrawal
+      ~seed:5 ~config:cfg ()
+  in
+  let table_size =
+    Framework.Experiments.table_size_run ~n:6 ~sdn:2 ~background:0 ~seed:5 ~config:cfg ()
+  in
+  Alcotest.(check int) "same collector updates"
+    withdrawal.Framework.Experiments.collector_updates
+    table_size.Framework.Experiments.collector_updates;
+  Alcotest.(check bool) "same run result" true
+    (Framework.Experiments.equal_run_result withdrawal table_size)
+
+(* Trace ids come from their own RNG stream: the tracing mode must never
+   change a simulated result, metrics included. *)
+let test_tracing_mode_invariant () =
+  let run causal =
+    Framework.Experiments.clique_run ~n:16 ~sdn:8 ~event:Framework.Experiments.Withdrawal
+      ~seed:67 ~config:{ Framework.Config.default with Framework.Config.causal } ()
+  in
+  let disabled = run Engine.Causal.Disabled in
+  List.iter
+    (fun (name, mode) ->
+      Alcotest.(check bool) (name ^ " == disabled") true
+        (Framework.Experiments.equal_run_result disabled (run mode)))
+    [ ("ring 4096", Engine.Causal.Ring 4096); ("full", Engine.Causal.Full) ]
+
 (* The sweep threads its event budget to every run: a budget far below
    the load's needs leaves each point unsettled, reported as nan seconds
    rather than a number; the default budget settles. *)
@@ -198,6 +229,9 @@ let suite =
     Alcotest.test_case "scaling sweep" `Slow test_scaling_sweep;
     Alcotest.test_case "sub-cluster resilience" `Quick test_subcluster_resilience;
     Alcotest.test_case "determinism" `Quick test_run_results_deterministic;
+    Alcotest.test_case "collector updates: measured event only" `Quick
+      test_collector_updates_measured_only;
+    Alcotest.test_case "tracing mode never changes a run" `Quick test_tracing_mode_invariant;
     Alcotest.test_case "scale sweep honours its budget" `Quick test_scale_sweep_budget;
     Alcotest.test_case "argument guards" `Quick test_guards;
   ]

@@ -156,6 +156,15 @@ let test_scaling_differential () =
   let seq = sweep () in
   with_jobs 3 (fun pool -> check_differential "scaling jobs=3" seq (sweep ~pool ()))
 
+let test_loss_differential () =
+  let sweep ?pool () =
+    Framework.Experiments.loss_sweep ?pool ~n:5 ~runs:2 ~seed:43 ~config:cfg ()
+  in
+  let seq = sweep () in
+  with_jobs 2 (fun pool ->
+      Alcotest.(check bool) "loss jobs=2: deep structural equality" true
+        (Framework.Experiments.equal_loss_series seq (sweep ~pool ())))
+
 let suite =
   [
     Alcotest.test_case "pool: order preservation" `Quick test_pool_order;
@@ -170,4 +179,5 @@ let suite =
     Alcotest.test_case "placement parallel == sequential" `Slow test_placement_differential;
     Alcotest.test_case "ablation parallel == sequential" `Quick test_ablation_differential;
     Alcotest.test_case "scaling parallel == sequential" `Slow test_scaling_differential;
+    Alcotest.test_case "loss parallel == sequential" `Quick test_loss_differential;
   ]
