@@ -2,7 +2,7 @@
    everything and never advertises — its timestamped update stream is the
    monitoring signal the framework's convergence detection consumes. *)
 
-module Pt = Net.Ipv4.Prefix_trie
+module Pt = Net.Ipv4.Prefix_table
 
 type action = Announce of Attrs.t | Withdraw
 

@@ -5,20 +5,22 @@
    Adj_out: per (peer, prefix) attributes as advertised — consulted to
             suppress duplicate announcements and to know what to withdraw.
 
-   Storage is mutable prefix tries ([Net.Ipv4.Prefix_trie]) rather than
-   persistent [Prefix_map]s: at Internet scale a RIB holds 10k+ prefixes
-   per peer and the persistent spines dominated both allocation and live
-   heap.  Iteration order is unchanged ([compare_prefix] ascending), so
-   checkpoint dumps and decision ordering are bit-identical to the old
-   map-based representation (enforced by test/test_rib_differential.ml). *)
+   Every RIB operation is an exact-match lookup, so storage is mutable
+   hash-indexed prefix tables ([Net.Ipv4.Prefix_table]), not persistent
+   [Prefix_map]s (whose spines dominated allocation and live heap at
+   Internet scale) nor the longest-prefix-match trie the FIB keeps.
+   Ordered traversals sort the packed keys, so iteration order is
+   [compare_prefix] ascending and checkpoint dumps and decision ordering
+   are bit-identical to the map-based representation (enforced by
+   test/test_rib_differential.ml). *)
 
-module Pt = Net.Ipv4.Prefix_trie
+module Pt = Net.Ipv4.Prefix_table
 
 module Adj_in = struct
-  (* Two views of the same routes.  The peer-major view (one trie per
+  (* Two views of the same routes.  The peer-major view (one table per
      peer, dropped when emptied) serves session maintenance
      ([drop_peer], [prefixes_from]); the prefix-major view makes
-     [candidates] — run on every decision process — a single trie lookup
+     [candidates] — run on every decision process — a single lookup
      yielding a compact flat array of (peer, route) cells in ascending
      peer order.  Both are updated together; [count] tracks the total so
      [size] is O(1). *)
@@ -31,7 +33,7 @@ module Adj_in = struct
   let create () = { by_peer = Net.Asn.Map.empty; by_prefix = Pt.create (); count = 0 }
 
   (* Insert or replace a cell keeping ascending peer order.  Replacement
-     mutates in place (the array is owned by the trie); insertion copies. *)
+     mutates in place (the array is owned by the table); insertion copies. *)
   let array_set arr pi route =
     let n = Array.length arr in
     let rec pos i = if i = n || fst arr.(i) >= pi then i else pos (i + 1) in
@@ -61,16 +63,17 @@ module Adj_in = struct
 
   let set t ~peer (route : Route.t) =
     let prefix = Route.prefix route in
-    let ptrie =
+    let table =
       match Net.Asn.Map.find_opt peer t.by_peer with
-      | Some tr -> tr
+      | Some table -> table
       | None ->
-        let tr = Pt.create () in
-        t.by_peer <- Net.Asn.Map.add peer tr t.by_peer;
-        tr
+        let table = Pt.create () in
+        t.by_peer <- Net.Asn.Map.add peer table t.by_peer;
+        table
     in
-    if not (Pt.mem prefix ptrie) then t.count <- t.count + 1;
-    Pt.set prefix route ptrie;
+    let n = Pt.size table in
+    Pt.set prefix route table;
+    if Pt.size table > n then t.count <- t.count + 1;
     let pi = Net.Asn.to_int peer in
     let arr = match Pt.find prefix t.by_prefix with None -> [||] | Some a -> a in
     let arr' = array_set arr pi route in
@@ -81,22 +84,27 @@ module Adj_in = struct
     | None -> ()
     | Some arr ->
       let arr' = array_remove arr (Net.Asn.to_int peer) in
-      if Array.length arr' = 0 then Pt.remove prefix t.by_prefix
+      if Array.length arr' = 0 then ignore (Pt.remove prefix t.by_prefix)
       else if arr' != arr then Pt.set prefix arr' t.by_prefix
 
   let remove t ~peer prefix =
     match Net.Asn.Map.find_opt peer t.by_peer with
-    | None -> ()
-    | Some ptrie ->
-      if Pt.mem prefix ptrie then begin
+    | None -> false
+    | Some table ->
+      if Pt.remove prefix table then begin
         t.count <- t.count - 1;
-        Pt.remove prefix ptrie;
-        if Pt.is_empty ptrie then t.by_peer <- Net.Asn.Map.remove peer t.by_peer;
-        remove_from_prefix t ~peer prefix
+        if Pt.is_empty table then t.by_peer <- Net.Asn.Map.remove peer t.by_peer;
+        remove_from_prefix t ~peer prefix;
+        true
       end
+      else false
 
+  (* A match, not [Option.bind]: the partial application [Pt.find prefix]
+     would allocate a closure per lookup. *)
   let find t ~peer prefix =
-    Option.bind (Net.Asn.Map.find_opt peer t.by_peer) (Pt.find prefix)
+    match Net.Asn.Map.find_opt peer t.by_peer with
+    | None -> None
+    | Some table -> Pt.find prefix table
 
   (* All routes for a prefix across peers, in ascending peer order. *)
   let candidates t prefix =
@@ -107,16 +115,16 @@ module Adj_in = struct
   let prefixes_from t ~peer =
     match Net.Asn.Map.find_opt peer t.by_peer with
     | None -> []
-    | Some ptrie -> Pt.keys ptrie
+    | Some table -> Pt.keys table
 
   let drop_peer t ~peer =
     match Net.Asn.Map.find_opt peer t.by_peer with
     | None -> []
-    | Some ptrie ->
-      let dropped = Pt.keys ptrie in
+    | Some table ->
+      let dropped = Pt.keys table in
       t.by_peer <- Net.Asn.Map.remove peer t.by_peer;
       List.iter (fun prefix -> remove_from_prefix t ~peer prefix) dropped;
-      t.count <- t.count - List.length dropped;
+      t.count <- t.count - Pt.size table;
       dropped
 
   let all_prefixes t = Pt.keys t.by_prefix
@@ -125,7 +133,7 @@ module Adj_in = struct
 
   let entries t =
     Net.Asn.Map.fold
-      (fun peer ptrie acc -> Pt.fold (fun _ r acc -> (peer, r) :: acc) ptrie acc)
+      (fun peer table acc -> Pt.fold (fun _ r acc -> (peer, r) :: acc) table acc)
       t.by_peer []
     |> List.rev
 
@@ -144,7 +152,7 @@ module Loc = struct
 
   let set t (route : Route.t) = Pt.set (Route.prefix route) route t.best
 
-  let remove t prefix = Pt.remove prefix t.best
+  let remove t prefix = ignore (Pt.remove prefix t.best)
 
   let entries t = Pt.entries t.best
 
@@ -156,7 +164,7 @@ module Loc = struct
 end
 
 module Adj_out = struct
-  (* One trie per peer, dropped as soon as it empties (a peer whose last
+  (* One table per peer, dropped as soon as it empties (a peer whose last
      advertisement was withdrawn leaves no residue), with a maintained
      total count so [size] is O(1). *)
   type t = {
@@ -167,49 +175,51 @@ module Adj_out = struct
   let create () = { by_peer = Net.Asn.Map.empty; count = 0 }
 
   let set t ~peer prefix attrs =
-    let ptrie =
+    let table =
       match Net.Asn.Map.find_opt peer t.by_peer with
-      | Some tr -> tr
+      | Some table -> table
       | None ->
-        let tr = Pt.create () in
-        t.by_peer <- Net.Asn.Map.add peer tr t.by_peer;
-        tr
+        let table = Pt.create () in
+        t.by_peer <- Net.Asn.Map.add peer table t.by_peer;
+        table
     in
-    if not (Pt.mem prefix ptrie) then t.count <- t.count + 1;
-    Pt.set prefix attrs ptrie
+    let n = Pt.size table in
+    Pt.set prefix attrs table;
+    if Pt.size table > n then t.count <- t.count + 1
 
   let remove t ~peer prefix =
     match Net.Asn.Map.find_opt peer t.by_peer with
     | None -> ()
-    | Some ptrie ->
-      if Pt.mem prefix ptrie then begin
+    | Some table ->
+      if Pt.remove prefix table then begin
         t.count <- t.count - 1;
-        Pt.remove prefix ptrie;
-        if Pt.is_empty ptrie then t.by_peer <- Net.Asn.Map.remove peer t.by_peer
+        if Pt.is_empty table then t.by_peer <- Net.Asn.Map.remove peer t.by_peer
       end
 
+  (* As in [Adj_in.find]: no closure per lookup. *)
   let find t ~peer prefix =
-    Option.bind (Net.Asn.Map.find_opt peer t.by_peer) (Pt.find prefix)
+    match Net.Asn.Map.find_opt peer t.by_peer with
+    | None -> None
+    | Some table -> Pt.find prefix table
 
   let advertised t ~peer =
     match Net.Asn.Map.find_opt peer t.by_peer with
     | None -> []
-    | Some ptrie -> Pt.entries ptrie
+    | Some table -> Pt.entries table
 
   let drop_peer t ~peer =
     match Net.Asn.Map.find_opt peer t.by_peer with
     | None -> []
-    | Some ptrie ->
-      let dropped = Pt.keys ptrie in
+    | Some table ->
       t.by_peer <- Net.Asn.Map.remove peer t.by_peer;
-      t.count <- t.count - List.length dropped;
-      dropped
+      t.count <- t.count - Pt.size table;
+      Pt.keys table
 
   let size t = t.count
 
   let entries t =
     Net.Asn.Map.bindings t.by_peer
-    |> List.map (fun (peer, ptrie) -> (peer, Pt.entries ptrie))
+    |> List.map (fun (peer, table) -> (peer, Pt.entries table))
 
   let clear t =
     t.by_peer <- Net.Asn.Map.empty;

@@ -8,7 +8,8 @@ module Adj_in : sig
   val set : t -> peer:Net.Asn.t -> Route.t -> unit
   (** Insert or implicitly replace the peer's route for its prefix. *)
 
-  val remove : t -> peer:Net.Asn.t -> Net.Ipv4.prefix -> unit
+  val remove : t -> peer:Net.Asn.t -> Net.Ipv4.prefix -> bool
+  (** [true] iff the peer had a route for the prefix (now removed). *)
 
   val find : t -> peer:Net.Asn.t -> Net.Ipv4.prefix -> Route.t option
 

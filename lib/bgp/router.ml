@@ -11,7 +11,7 @@
      its input queue, so each update's processing delay pushes a
      [busy_until] watermark and later updates queue behind it. *)
 
-module Pt = Net.Ipv4.Prefix_trie
+module Pt = Net.Ipv4.Prefix_table
 
 type stats = {
   mutable msgs_in : int;
@@ -376,10 +376,7 @@ let originate ?(med = 0) ?(origin = Attrs.Igp) ?(communities = Community.Set.emp
   with_batch t (fun () -> run_decision t prefix)
 
 let withdraw_origin t prefix =
-  if Pt.mem prefix t.originated then begin
-    Pt.remove prefix t.originated;
-    with_batch t (fun () -> run_decision t prefix)
-  end
+  if Pt.remove prefix t.originated then with_batch t (fun () -> run_decision t prefix)
 
 (* --- Sessions ---------------------------------------------------------- *)
 
@@ -563,8 +560,7 @@ let process_update t peer_asn (u : Message.update) =
     let affected = ref [] in
     List.iter
       (fun prefix ->
-        if Option.is_some (Rib.Adj_in.find t.adj_in ~peer:peer_asn prefix) then begin
-          Rib.Adj_in.remove t.adj_in ~peer:peer_asn prefix;
+        if Rib.Adj_in.remove t.adj_in ~peer:peer_asn prefix then begin
           note_flap t peer_asn prefix Damping.Withdrawal;
           affected := prefix :: !affected
         end)
@@ -595,10 +591,8 @@ let process_update t peer_asn (u : Message.update) =
           affected := prefix :: !affected
         | None ->
           (* Policy rejection implicitly withdraws any previous route. *)
-          if Option.is_some (Rib.Adj_in.find t.adj_in ~peer:peer_asn prefix) then begin
-            Rib.Adj_in.remove t.adj_in ~peer:peer_asn prefix;
-            affected := prefix :: !affected
-          end)
+          if Rib.Adj_in.remove t.adj_in ~peer:peer_asn prefix then
+            affected := prefix :: !affected)
       u.Message.announced;
     run_decisions t (List.rev !affected)
 

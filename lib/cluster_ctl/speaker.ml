@@ -13,7 +13,7 @@
    recomputation is the rate limiter). *)
 
 module Pm = Net.Ipv4.Prefix_map
-module Pt = Net.Ipv4.Prefix_trie
+module Pt = Net.Ipv4.Prefix_table
 
 type pending = Pend_announce of Bgp.Attrs.t | Pend_withdraw
 
@@ -353,8 +353,7 @@ let withdraw t ~member ~neighbor prefix =
   | None -> ()
   | Some s when not s.established -> ()
   | Some s ->
-    if Pt.mem prefix s.adj_out then begin
-      Pt.remove prefix s.adj_out;
+    if Pt.remove prefix s.adj_out then begin
       match s.mrai with
       | Some m -> Bgp.Mrai.enqueue_withdraw m prefix
       | None when t.batch_depth > 0 ->

@@ -93,12 +93,15 @@ type entry = { name : string; help : string; labels : labels; series : series }
 
 type t = {
   entries : (string, entry) Hashtbl.t; (* keyed by series_key *)
-  mutable collectors : (unit -> unit) list;
+  mutable collectors : (unit -> unit) list; (* newest first *)
 }
 
 let create () = { entries = Hashtbl.create 64; collectors = [] }
 
-let on_collect t f = t.collectors <- t.collectors @ [ f ]
+(* A cons, not an append: there is one registration per BGP session, and
+   an append would make building a large network quadratic.  [snapshot]
+   reverses to run the callbacks in registration order. *)
+let on_collect t f = t.collectors <- f :: t.collectors
 
 let kind_name = function
   | S_counter _ -> "counter"
@@ -189,7 +192,7 @@ let freeze entry =
   { name = entry.name; help = entry.help; labels = entry.labels; value }
 
 let snapshot t ~at =
-  List.iter (fun f -> f ()) t.collectors;
+  List.iter (fun f -> f ()) (List.rev t.collectors);
   let keyed = Hashtbl.fold (fun key entry acc -> (key, entry) :: acc) t.entries [] in
   let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) keyed in
   { at; samples = List.map (fun (_, e) -> freeze e) sorted }

@@ -299,7 +299,15 @@ let choose_members ~spec ~k ~placement ~origin ~seed =
   let candidates =
     List.filter (fun a -> not (Net.Asn.equal a origin)) (Topology.Spec.asns spec)
   in
-  let degree a = List.length (Topology.Spec.neighbors spec a) in
+  (* Degrees counted once: [Spec.neighbors] scans every link, so calling
+     it from the comparator would make the sort O(n log n * links). *)
+  let degrees = Hashtbl.create 64 in
+  let degree a = Option.value (Hashtbl.find_opt degrees a) ~default:0 in
+  List.iter
+    (fun (l : Topology.Spec.link_spec) ->
+      Hashtbl.replace degrees l.a (degree l.a + 1);
+      if not (Net.Asn.equal l.a l.b) then Hashtbl.replace degrees l.b (degree l.b + 1))
+    (Topology.Spec.links spec);
   match placement with
   | Top_degree ->
     List.stable_sort (fun a b -> Int.compare (degree b) (degree a)) candidates

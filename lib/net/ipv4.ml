@@ -212,8 +212,6 @@ module Prefix_trie = struct
     in
     go t.root 0
 
-  let mem p t = Option.is_some (find p t)
-
   let set p v t =
     let bits = bits_of_network p.network in
     let len = p.len in
@@ -332,13 +330,81 @@ module Prefix_trie = struct
 
   let entries t = List.rev (fold (fun p v acc -> (p, v) :: acc) t [])
 
-  let keys t = List.rev (fold (fun p _ acc -> p :: acc) t [])
-
   let clear t =
     t.root.value <- None;
     t.root.zero <- None;
     t.root.one <- None;
     t.size <- 0
+end
+
+(* Exact-match table: a hash table on the packed int key
+   [(network bits lsl 6) lor len], so a lookup hashes one immediate and
+   compares ints — no walk, no boxing.  Ascending int keys are exactly
+   [compare_prefix] ascending (unsigned network, then length), so the
+   ordered traversals sort the keys and match [Prefix_map] folds.  The
+   hash table is allocated on first insert: most routers' tables for most
+   peers stay empty in small runs. *)
+module Prefix_table = struct
+  module H = Hashtbl.Make (struct
+    type t = int
+
+    let equal = Int.equal
+
+    (* Multiplicative mix: the low key bits are the length and, for /24s,
+       eight zero host bits, so the bucket index must come from high bits. *)
+    let hash k =
+      let h = k * 0x3E3779B97F4A7C15 in
+      h lxor (h lsr 29)
+  end)
+
+  type 'a t = { mutable tbl : 'a H.t option }
+
+  let key p = (Int32.to_int p.network land 0xffff_ffff) lsl 6 lor p.len
+
+  let prefix_of_key k = { network = Int32.of_int (k lsr 6); len = k land 63 }
+
+  let create () = { tbl = None }
+
+  let size t = match t.tbl with None -> 0 | Some h -> H.length h
+
+  let is_empty t = size t = 0
+
+  let find p t = match t.tbl with None -> None | Some h -> H.find_opt h (key p)
+
+  let mem p t = match t.tbl with None -> false | Some h -> H.mem h (key p)
+
+  let set p v t =
+    match t.tbl with
+    | Some h -> H.replace h (key p) v
+    | None ->
+      let h = H.create 16 in
+      H.replace h (key p) v;
+      t.tbl <- Some h
+
+  let remove p t =
+    match t.tbl with
+    | None -> false
+    | Some h ->
+      let n = H.length h in
+      H.remove h (key p);
+      H.length h < n
+
+  let sorted t =
+    match t.tbl with
+    | None -> []
+    | Some h ->
+      H.fold (fun k v acc -> (k, v) :: acc) h []
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
+  let fold f t init = List.fold_left (fun acc (k, v) -> f (prefix_of_key k) v acc) init (sorted t)
+
+  let iter f t = List.iter (fun (k, v) -> f (prefix_of_key k) v) (sorted t)
+
+  let entries t = List.map (fun (k, v) -> (prefix_of_key k, v)) (sorted t)
+
+  let keys t = List.map (fun (k, _) -> prefix_of_key k) (sorted t)
+
+  let clear t = t.tbl <- None
 end
 
 module Prefix_map = Map.Make (struct

@@ -87,10 +87,11 @@ module Allocator : sig
   val capacity : t -> int
 end
 
-(** Mutable binary trie keyed on prefix bits, with longest-prefix match.
-    Iteration order is deterministic: exactly [compare_prefix] ascending,
-    matching [Prefix_map] folds.  Not domain-safe; each trie is owned by
-    one router/component. *)
+(** Mutable binary trie keyed on prefix bits, with longest-prefix match:
+    the FIB's and the data plane's structure.  Tables that only ever need
+    exact match use {!Prefix_table}.  Iteration order is deterministic:
+    exactly [compare_prefix] ascending, matching [Prefix_map] folds.  Not
+    domain-safe; each trie is owned by one router/component. *)
 module Prefix_trie : sig
   type 'a t
 
@@ -103,8 +104,6 @@ module Prefix_trie : sig
 
   val find : prefix -> 'a t -> 'a option
   (** Exact-prefix lookup. *)
-
-  val mem : prefix -> 'a t -> bool
 
   val set : prefix -> 'a -> 'a t -> unit
   (** Insert or replace the entry for exactly this prefix. *)
@@ -136,9 +135,49 @@ module Prefix_trie : sig
   val entries : 'a t -> (prefix * 'a) list
   (** Ascending [compare_prefix] order. *)
 
+  val clear : 'a t -> unit
+end
+
+(** Mutable exact-match table keyed on prefixes: a hash table on a packed
+    int encoding of (network, length).  No longest-prefix match — that is
+    {!Prefix_trie}'s job.  The ordered traversals ({!fold}, {!iter},
+    {!entries}, {!keys}) sort the keys, so they visit prefixes in exactly
+    [compare_prefix] ascending order, like [Prefix_map] folds.  Allocates
+    nothing until the first {!set}.  Not domain-safe. *)
+module Prefix_table : sig
+  type 'a t
+
+  val create : unit -> 'a t
+
+  val size : 'a t -> int
+  (** O(1). *)
+
+  val is_empty : 'a t -> bool
+
+  val find : prefix -> 'a t -> 'a option
+
+  val mem : prefix -> 'a t -> bool
+
+  val set : prefix -> 'a -> 'a t -> unit
+  (** Insert or replace the entry for exactly this prefix. *)
+
+  val remove : prefix -> 'a t -> bool
+  (** [true] iff an entry was there (one lookup either way). *)
+
+  val fold : (prefix -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
+  (** Ascending [compare_prefix] order. *)
+
+  val iter : (prefix -> 'a -> unit) -> 'a t -> unit
+  (** Ascending [compare_prefix] order. *)
+
+  val entries : 'a t -> (prefix * 'a) list
+  (** Ascending [compare_prefix] order. *)
+
   val keys : 'a t -> prefix list
+  (** Ascending [compare_prefix] order. *)
 
   val clear : 'a t -> unit
+  (** Drops the table's storage too. *)
 end
 
 module Prefix_map : Map.S with type key = prefix

@@ -92,6 +92,33 @@ let test_placement_strategies () =
   in
   Alcotest.(check bool) "measured" true (Float.is_finite r.Framework.Experiments.seconds)
 
+(* The members each placement picks on a generated CAIDA graph, pinned:
+   degree ties keep [Spec.asns] order (stable sort), so a faster degree
+   count must not reorder them. *)
+let test_placement_members_pinned () =
+  let tier1, tier2, stubs = (3, 10, 40) in
+  let spec = Topology.Caida.generate ~tier1 ~tier2 ~stubs (Engine.Rng.create 7) in
+  let origin = List.hd (Topology.Caida.stub_asns ~tier1 ~tier2 ~stubs) in
+  Alcotest.(check int) "origin" 65014 (Net.Asn.to_int origin);
+  List.iter
+    (fun (name, placement, want) ->
+      let got =
+        Framework.Experiments.choose_members ~spec ~k:6 ~placement ~origin ~seed:5
+        |> List.map Net.Asn.to_int
+      in
+      Alcotest.(check (list int)) name want got)
+    [
+      ( "top-degree",
+        Framework.Experiments.Top_degree,
+        [ 65009; 65012; 65001; 65006; 65007; 65008 ] );
+      ( "stubs-first",
+        Framework.Experiments.Stubs_first,
+        [ 65015; 65017; 65018; 65020; 65021; 65024 ] );
+      ( "random",
+        Framework.Experiments.Random_choice,
+        [ 65039; 65012; 65011; 65049; 65018; 65038 ] );
+    ]
+
 let test_churn_run () =
   let quiet =
     Framework.Experiments.clique_run ~n:5 ~sdn:0 ~event:Framework.Experiments.Withdrawal
@@ -224,6 +251,7 @@ let suite =
     Alcotest.test_case "ablation recompute delay" `Slow test_ablation_recompute_delay;
     Alcotest.test_case "ablation wrate direction" `Quick test_ablation_wrate_direction;
     Alcotest.test_case "placement strategies" `Quick test_placement_strategies;
+    Alcotest.test_case "placement members pinned" `Quick test_placement_members_pinned;
     Alcotest.test_case "churn coupling" `Quick test_churn_run;
     Alcotest.test_case "table-size control" `Quick test_table_size_control;
     Alcotest.test_case "scaling sweep" `Slow test_scaling_sweep;

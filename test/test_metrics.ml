@@ -82,6 +82,37 @@ let test_on_collect () =
   Alcotest.(check (option (float 1e-9))) "collect callback ran" (Some 42.0)
     (Metrics.value snap "pulled")
 
+let test_on_collect_order () =
+  let m = Metrics.create () in
+  let log = ref [] in
+  List.iter (fun i -> Metrics.on_collect m (fun () -> log := i :: !log)) [ 1; 2; 3; 4 ];
+  ignore (Metrics.snapshot m ~at:Time.zero);
+  Alcotest.(check (list int)) "registration order" [ 1; 2; 3; 4 ] (List.rev !log);
+  log := [];
+  ignore (Metrics.snapshot m ~at:Time.zero);
+  Alcotest.(check (list int)) "same order on every snapshot" [ 1; 2; 3; 4 ] (List.rev !log)
+
+(* One registration per BGP session: words per registration must not grow
+   with the number already registered (an append copies the whole list,
+   ~3 words per callback already there). *)
+let test_on_collect_registration_allocation () =
+  let m = Metrics.create () in
+  let f () = () in
+  let words_per_registration n =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      Metrics.on_collect m f
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let first = words_per_registration 1000 in
+  ignore (words_per_registration 20_000);
+  let late = words_per_registration 1000 in
+  Alcotest.(check bool)
+    (Fmt.str "%.2f words per registration (first %.2f) <= 4" late first)
+    true
+    (first <= 4.0 && late <= 4.0)
+
 (* A tiny fixed registry exercised against exact export text, so format
    drift is caught deliberately rather than discovered by downstream
    parsers. *)
@@ -233,6 +264,9 @@ let suite =
       test_registration_idempotent_and_canonical;
     Alcotest.test_case "snapshot isolation" `Quick test_snapshot_isolation;
     Alcotest.test_case "on_collect pull gauges" `Quick test_on_collect;
+    Alcotest.test_case "on_collect registration order" `Quick test_on_collect_order;
+    Alcotest.test_case "on_collect registration allocation" `Quick
+      test_on_collect_registration_allocation;
     Alcotest.test_case "prometheus golden" `Quick test_prometheus_golden;
     Alcotest.test_case "jsonl golden" `Quick test_jsonl_golden;
     Alcotest.test_case "csv golden" `Quick test_csv_golden;

@@ -48,7 +48,10 @@ let test_adj_in_remove () =
   let rib = Bgp.Rib.Adj_in.create () in
   let pre = p "100.64.0.0/24" in
   Bgp.Rib.Adj_in.set rib ~peer:(asn 65001) (route ~peer:65001 ~prefix:pre);
-  Bgp.Rib.Adj_in.remove rib ~peer:(asn 65001) pre;
+  Alcotest.(check bool) "remove reports a hit" true
+    (Bgp.Rib.Adj_in.remove rib ~peer:(asn 65001) pre);
+  Alcotest.(check bool) "second remove reports a miss" false
+    (Bgp.Rib.Adj_in.remove rib ~peer:(asn 65001) pre);
   Alcotest.(check int) "removed" 0 (Bgp.Rib.Adj_in.size rib);
   Alcotest.(check (list string)) "all_prefixes empty" []
     (List.map Net.Ipv4.prefix_to_string (Bgp.Rib.Adj_in.all_prefixes rib))
@@ -82,6 +85,40 @@ let test_adj_out () =
   Alcotest.(check int) "drop peer" 1 (List.length dropped);
   Alcotest.(check int) "empty after drop" 0 (Bgp.Rib.Adj_out.size out)
 
+(* An exact-match hit costs a fixed handful of words, whatever the table
+   size: the [Some] of the answer (and, for the peer-major RIBs, of the
+   peer's table).  A lookup that boxes its key — an int32 or a tuple per
+   call — or walks allocating nodes costs well over 4 words. *)
+let test_find_hit_allocation () =
+  let prefixes =
+    Array.init 2048 (fun i ->
+        let a = Net.Ipv4.addr_of_octets (100 + (i lsr 10)) ((i lsr 2) land 255) (i land 3) 0 in
+        Net.Ipv4.prefix a 24)
+  in
+  let loc = Bgp.Rib.Loc.create () in
+  let adj_in = Bgp.Rib.Adj_in.create () in
+  let adj_out = Bgp.Rib.Adj_out.create () in
+  Array.iter
+    (fun prefix ->
+      let r = route ~peer:65001 ~prefix in
+      Bgp.Rib.Loc.set loc r;
+      Bgp.Rib.Adj_in.set adj_in ~peer:(asn 65001) r;
+      Bgp.Rib.Adj_out.set adj_out ~peer:(asn 65001) prefix (Bgp.Route.attrs r))
+    prefixes;
+  let peer = asn 65001 in
+  let hits = 10_000 in
+  let per_hit name find =
+    let w0 = Gc.minor_words () in
+    for i = 1 to hits do
+      ignore (Sys.opaque_identity (find prefixes.(i land 2047)))
+    done;
+    let words = (Gc.minor_words () -. w0) /. float_of_int hits in
+    Alcotest.(check bool) (Fmt.str "%s: %.2f words per hit <= 4" name words) true (words <= 4.0)
+  in
+  per_hit "loc" (fun prefix -> Bgp.Rib.Loc.find loc prefix);
+  per_hit "adj-in" (fun prefix -> Bgp.Rib.Adj_in.find adj_in ~peer prefix);
+  per_hit "adj-out" (fun prefix -> Bgp.Rib.Adj_out.find adj_out ~peer prefix)
+
 let suite =
   [
     Alcotest.test_case "adj-in implicit withdraw" `Quick test_adj_in_implicit_withdraw;
@@ -90,4 +127,5 @@ let suite =
     Alcotest.test_case "adj-in remove" `Quick test_adj_in_remove;
     Alcotest.test_case "loc-rib" `Quick test_loc;
     Alcotest.test_case "adj-out" `Quick test_adj_out;
+    Alcotest.test_case "find hit allocation" `Quick test_find_hit_allocation;
   ]

@@ -1,11 +1,13 @@
-(* Differential suite: the scale-path structures (prefix-trie RIBs,
-   hash-consed attrs) against plain map-based reference implementations —
+(* Differential suite: the scale-path structures (the LPM prefix trie,
+   hash-indexed prefix tables and the RIBs built on them, hash-consed
+   attrs) against plain map-based reference implementations —
    the pre-scale design kept here as an executable specification.  Every
    random sequence is seeded from [Engine.Rng] so a failure reproduces
    exactly. *)
 
 module Pm = Net.Ipv4.Prefix_map
 module Pt = Net.Ipv4.Prefix_trie
+module Tbl = Net.Ipv4.Prefix_table
 module Am = Net.Asn.Map
 
 let nh = Net.Ipv4.addr_of_octets 10 0 0 1
@@ -99,7 +101,139 @@ let test_trie_vs_map () =
   Alcotest.(check int) "clear empties" 0 (Pt.size trie);
   Alcotest.(check bool) "clear is_empty" true (Pt.is_empty trie)
 
-(* --- Adj-RIB-In: trie-backed vs per-peer Prefix_map ------------------ *)
+(* --- Prefix_table vs Prefix_map: exact match and ordered traversal --- *)
+
+(* Edge-heavy pool: the default route and /32s, one network at several
+   lengths (shared network bits, distinct packed keys), and networks at
+   and above 128.0.0.0 (negative as int32: unsigned order and the packed
+   key must still sort them last), plus random prefixes of any length
+   across the whole address space. *)
+let table_pool =
+  let fixed =
+    [ "0.0.0.0/0"; "0.0.0.0/1"; "0.0.0.0/32"; "0.0.0.1/32"; "10.0.0.0/8"; "10.0.0.0/16";
+      "10.0.0.0/24"; "10.0.0.0/31"; "10.0.0.0/32"; "10.0.0.1/32"; "100.64.0.0/24";
+      "127.255.255.255/32"; "128.0.0.0/1"; "128.0.0.0/8"; "128.0.0.0/24"; "128.0.0.0/32";
+      "192.168.1.0/24"; "192.168.1.128/25"; "200.0.0.0/5"; "255.0.0.0/8";
+      "255.255.255.0/24"; "255.255.255.254/31"; "255.255.255.255/32" ]
+    |> List.map (fun s -> Option.get (Net.Ipv4.prefix_of_string s))
+  in
+  let rng = Engine.Rng.create 77 in
+  let random =
+    List.init 40 (fun _ ->
+        Net.Ipv4.prefix
+          (Net.Ipv4.addr_of_octets (Engine.Rng.int rng 256) (Engine.Rng.int rng 256)
+             (Engine.Rng.int rng 256) (Engine.Rng.int rng 256))
+          (Engine.Rng.int rng 33))
+  in
+  Array.of_list (fixed @ random)
+
+let check_prefixes name want got =
+  check_entries name (List.map (fun p -> (p, ())) want) (List.map (fun p -> (p, ())) got)
+
+let check_table name reference table =
+  let expected = Pm.bindings reference in
+  Alcotest.(check int) (name ^ ": size") (Pm.cardinal reference) (Tbl.size table);
+  Alcotest.(check bool) (name ^ ": is_empty") (Pm.is_empty reference) (Tbl.is_empty table);
+  check_entries (name ^ ": entries") expected (Tbl.entries table);
+  Alcotest.(check (list int)) (name ^ ": entry values") (List.map snd expected)
+    (List.map snd (Tbl.entries table));
+  check_prefixes (name ^ ": keys") (List.map fst expected) (Tbl.keys table);
+  check_entries (name ^ ": fold")
+    expected
+    (List.rev (Tbl.fold (fun p v acc -> (p, v) :: acc) table []));
+  let visited = ref [] in
+  Tbl.iter (fun p v -> visited := (p, v) :: !visited) table;
+  check_entries (name ^ ": iter") expected (List.rev !visited)
+
+let test_table_vs_map () =
+  let rng = Engine.Rng.create 4242 in
+  let table = Tbl.create () in
+  check_table "fresh" Pm.empty table;
+  let reference = ref Pm.empty in
+  let pick () = table_pool.(Engine.Rng.int rng (Array.length table_pool)) in
+  for step = 1 to 4000 do
+    let p = pick () in
+    (match Engine.Rng.int rng 5 with
+    | 0 | 1 ->
+      Tbl.set p step table;
+      reference := Pm.add p step !reference
+    | 2 ->
+      Alcotest.(check bool)
+        (Fmt.str "step %d: remove %a reports presence" step Net.Ipv4.pp_prefix p)
+        (Pm.mem p !reference) (Tbl.remove p table);
+      reference := Pm.remove p !reference
+    | 3 ->
+      Alcotest.(check (option int))
+        (Fmt.str "step %d: find %a" step Net.Ipv4.pp_prefix p)
+        (Pm.find_opt p !reference) (Tbl.find p table)
+    | _ ->
+      Alcotest.(check bool)
+        (Fmt.str "step %d: mem %a" step Net.Ipv4.pp_prefix p)
+        (Pm.mem p !reference) (Tbl.mem p table));
+    Alcotest.(check int) (Fmt.str "step %d: size" step) (Pm.cardinal !reference)
+      (Tbl.size table);
+    if step mod 200 = 0 then check_table (Fmt.str "step %d" step) !reference table
+  done;
+  (* emptied by remove: every key out, nothing left to iterate *)
+  List.iter (fun p -> ignore (Tbl.remove p table)) (Tbl.keys table);
+  check_table "emptied by remove" Pm.empty table;
+  Alcotest.(check bool) "remove on emptied table" false (Tbl.remove table_pool.(0) table);
+  Alcotest.(check (option int)) "find on emptied table" None (Tbl.find table_pool.(0) table);
+  (* emptied by clear *)
+  Array.iteri (fun i p -> Tbl.set p i table) table_pool;
+  Tbl.clear table;
+  check_table "emptied by clear" Pm.empty table;
+  Alcotest.(check bool) "mem after clear" false (Tbl.mem table_pool.(0) table);
+  (* a cleared table takes inserts again *)
+  Tbl.set table_pool.(3) 3 table;
+  check_table "reused after clear" (Pm.singleton table_pool.(3) 3) table
+
+(* The RIBs iterate their tables in [compare_prefix] order over the same
+   edge-heavy pool, whatever the insertion order. *)
+let test_rib_order_over_pool () =
+  let rng = Engine.Rng.create 5150 in
+  let sorted = List.sort_uniq Net.Ipv4.compare_prefix (Array.to_list table_pool) in
+  let shuffled () =
+    List.map (fun p -> (Engine.Rng.int rng 1_000_000, p)) sorted
+    |> List.sort compare |> List.map snd
+  in
+  let adj_in = Bgp.Rib.Adj_in.create () in
+  let loc = Bgp.Rib.Loc.create () in
+  let peers = [ 65003; 65001; 65002 ] in
+  List.iter
+    (fun peer ->
+      List.iter
+        (fun prefix ->
+          let r = route ~peer ~prefix ~tag:0 in
+          Bgp.Rib.Adj_in.set adj_in ~peer:(asn peer) r;
+          Bgp.Rib.Loc.set loc r)
+        (shuffled ()))
+    peers;
+  let want_entries =
+    List.concat_map
+      (fun peer -> List.map (fun p -> (asn peer, p)) sorted)
+      (List.sort Int.compare peers)
+  in
+  let got_entries =
+    List.map (fun (peer, r) -> (peer, Bgp.Route.prefix r)) (Bgp.Rib.Adj_in.entries adj_in)
+  in
+  Alcotest.(check int) "adj-in entries" (List.length want_entries) (List.length got_entries);
+  List.iter2
+    (fun (wa, wp) (ga, gp) ->
+      Alcotest.(check bool)
+        (Fmt.str "adj-in entry %a %a" Net.Asn.pp wa Net.Ipv4.pp_prefix wp)
+        true
+        (Net.Asn.equal wa ga && Net.Ipv4.equal_prefix wp gp))
+    want_entries got_entries;
+  check_prefixes "adj-in all_prefixes" sorted (Bgp.Rib.Adj_in.all_prefixes adj_in);
+  check_prefixes "adj-in prefixes_from" sorted
+    (Bgp.Rib.Adj_in.prefixes_from adj_in ~peer:(asn 65002));
+  check_prefixes "loc entries" sorted (List.map fst (Bgp.Rib.Loc.entries loc));
+  check_prefixes "loc prefixes" sorted (Bgp.Rib.Loc.prefixes loc);
+  check_prefixes "adj-in drop_peer" sorted (Bgp.Rib.Adj_in.drop_peer adj_in ~peer:(asn 65001));
+  Alcotest.(check int) "after drop_peer" (2 * List.length sorted) (Bgp.Rib.Adj_in.size adj_in)
+
+(* --- Adj-RIB-In: table-backed vs per-peer Prefix_map ----------------- *)
 
 type ref_adj_in = { mutable tables : Bgp.Route.t Pm.t Am.t }
 
@@ -150,7 +284,13 @@ let test_adj_in_differential () =
       Bgp.Rib.Adj_in.set rib ~peer r;
       ref_adj_in_set reference ~peer r
     | 4 | 5 ->
-      Bgp.Rib.Adj_in.remove rib ~peer prefix;
+      let present =
+        Option.is_some (Option.bind (Am.find_opt peer reference.tables) (Pm.find_opt prefix))
+      in
+      Alcotest.(check bool)
+        (Fmt.str "step %d: remove reports presence" step)
+        present
+        (Bgp.Rib.Adj_in.remove rib ~peer prefix);
       ref_adj_in_remove reference ~peer prefix
     | 6 ->
       let got = Bgp.Rib.Adj_in.drop_peer rib ~peer in
@@ -209,7 +349,7 @@ let test_adj_in_differential () =
         (List.sort Net.Ipv4.compare_prefix got))
     peers
 
-(* --- Loc-RIB: trie-backed vs Prefix_map ------------------------------ *)
+(* --- Loc-RIB: table-backed vs Prefix_map ----------------------------- *)
 
 let test_loc_differential () =
   let rng = Engine.Rng.create 2002 in
@@ -239,7 +379,7 @@ let test_loc_differential () =
   done;
   check_entries "final entries" (Pm.bindings !reference) (Bgp.Rib.Loc.entries rib)
 
-(* --- Adj-RIB-Out: trie-backed vs per-peer Prefix_map ----------------- *)
+(* --- Adj-RIB-Out: table-backed vs per-peer Prefix_map ---------------- *)
 
 let test_adj_out_differential () =
   let rng = Engine.Rng.create 3003 in
@@ -309,7 +449,7 @@ let test_adj_out_differential () =
         want advertised)
     entries
 
-(* --- Small-topology end-to-end: trie-backed Loc-RIBs vs a map mirror
+(* --- Small-topology end-to-end: table-backed Loc-RIBs vs a map mirror
    rebuilt from the best-route change stream of a real run -------------- *)
 
 let test_small_topology_mirror () =
@@ -348,6 +488,8 @@ let test_small_topology_mirror () =
 let suite =
   [
     Alcotest.test_case "trie vs map (insert/remove/LPM)" `Quick test_trie_vs_map;
+    Alcotest.test_case "prefix table vs map" `Quick test_table_vs_map;
+    Alcotest.test_case "rib order over edge pool" `Quick test_rib_order_over_pool;
     Alcotest.test_case "adj-in vs map reference" `Quick test_adj_in_differential;
     Alcotest.test_case "loc vs map reference" `Quick test_loc_differential;
     Alcotest.test_case "adj-out vs map reference" `Quick test_adj_out_differential;
