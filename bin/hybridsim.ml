@@ -847,7 +847,9 @@ let scale_cmd =
         Fmt.pr "graph:           %d ASes (%d tier1, %d tier2, %d stubs), %d links@."
           r.Framework.Experiments.ases tier1 tier2 stubs r.Framework.Experiments.links;
         Fmt.pr "centralized:     %d top-degree members@." r.Framework.Experiments.sdn_members;
-        Fmt.pr "load:            %d prefixes, %d collector updates in %.2f s wall (%.0f upd/s)@."
+        Fmt.pr
+          "load:            %d prefixes, %d collector updates in %.2f s wall (%.0f \
+           collector updates/s)@."
           r.Framework.Experiments.prefixes r.Framework.Experiments.load_updates
           r.Framework.Experiments.load_seconds r.Framework.Experiments.updates_per_sec;
         Fmt.pr "load settled:    %b (budget %d events)@." r.Framework.Experiments.load_settled

@@ -30,7 +30,10 @@ type t = {
          experiments rely on the link watcher to re-open sessions. *)
 }
 
-and keepalive = { interval : Engine.Time.span; hold_time : Engine.Time.span }
+and keepalive = Session.keepalive = {
+  interval : Engine.Time.span;
+  hold_time : Engine.Time.span;
+}
 
 (* Quagga defaults: keepalive 60 s, hold 180 s. *)
 let default_keepalive = { interval = Engine.Time.sec 60; hold_time = Engine.Time.sec 180 }

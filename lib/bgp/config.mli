@@ -17,7 +17,10 @@ type t = {
       (** exponential-backoff retry of unanswered OPENs; off by default *)
 }
 
-and keepalive = { interval : Engine.Time.span; hold_time : Engine.Time.span }
+and keepalive = Session.keepalive = {
+  interval : Engine.Time.span;
+  hold_time : Engine.Time.span;
+}
 
 val default_keepalive : keepalive
 (** Quagga defaults: 60 s keepalive, 180 s hold. *)

@@ -40,8 +40,6 @@ val node : t -> Engine.Node.t
 
 val node_id : t -> int
 
-val router_id : t -> Net.Ipv4.addr
-
 val stats : t -> stats
 
 val subscribe_best_change : t -> (Net.Ipv4.prefix -> Route.t option -> unit) -> unit
@@ -81,8 +79,6 @@ val best : t -> Net.Ipv4.prefix -> Route.t option
 val candidates : t -> Net.Ipv4.prefix -> Route.t list
 
 val loc_entries : t -> (Net.Ipv4.prefix * Route.t) list
-
-val originated_prefixes : t -> Net.Ipv4.prefix list
 
 val adj_in_find : t -> peer:Net.Asn.t -> Net.Ipv4.prefix -> Route.t option
 

@@ -253,9 +253,8 @@ let recompute_prefix t prefix =
         mods)
     changes;
   (* Update the legacy world through the speaker. *)
-  List.iter
-    (fun (member, neighbor) -> sync_session t ~member ~neighbor prefix desired)
-    (Speaker.sessions t.speaker)
+  Speaker.iter_sessions t.speaker (fun ~member ~neighbor ->
+      sync_session t ~member ~neighbor prefix desired)
 
 (* Close the fallback-exit handshake: the batch that just ran reinstalled
    the flow state of every member awaiting resync, so release them from

@@ -10,7 +10,9 @@
    (re)announcements are deduplicated, and optionally paces announcements
    with an MRAI like a conventional BGP implementation would (off by
    default — ExaBGP emits updates as instructed; the controller's delayed
-   recomputation is the rate limiter). *)
+   recomputation is the rate limiter).  Each session's FSM, hold
+   negotiation and keepalive/hold liveness are [Bgp.Session]'s, as for a
+   router peer. *)
 
 module Pm = Net.Ipv4.Prefix_map
 module Pt = Net.Ipv4.Prefix_table
@@ -23,9 +25,7 @@ type session = {
   member : Net.Asn.t;
   neighbor : Net.Asn.t;
   member_addr : Net.Ipv4.addr;
-  mutable established : bool;
-  mutable open_sent : bool;
-  mutable peer_hold : int; (* hold time (s) the neighbor proposed; 0 = none *)
+  session : Bgp.Session.t;
   adj_out : Bgp.Attrs.t Pt.t;
   mrai : Bgp.Mrai.t option;
   (* Non-MRAI sessions buffer changes here within a batch scope; the
@@ -33,57 +33,24 @@ type session = {
      prefix).  Always empty between scheduler events. *)
   mutable pending : pending Pm.t;
   mutable dirty : bool;
-  mutable keepalive : Engine.Timer.t option;
-  mutable hold : Engine.Timer.t option;
-}
-
-type stats = {
-  mutable updates_in : int;
-  mutable updates_out : int;
-  mutable opens : int;
 }
 
 type t = {
   sim : Engine.Sim.t;
   node : Engine.Node.t;
   rng : Engine.Rng.t;
-  liveness : Bgp.Config.keepalive option;
   send_relay : member:Net.Asn.t -> neighbor:Net.Asn.t -> Bgp.Message.t -> bool;
   sessions : (session_key, session) Hashtbl.t;
-  mutable session_order : session_key list; (* deterministic iteration *)
+  mutable session_order : session list; (* newest first; see [iter_configured] *)
   mutable on_update :
     member:Net.Asn.t -> neighbor:Net.Asn.t -> Bgp.Message.update -> unit;
   mutable on_session : member:Net.Asn.t -> neighbor:Net.Asn.t -> up:bool -> unit;
-  stats : stats;
-  hold_expirations : Engine.Metrics.Counter.t;
   (* Update batching, mirroring Router: controller-driven announcement
      bursts within one scheduler event leave as one UPDATE per session. *)
   mutable batch_depth : int;
   mutable any_dirty : bool;
+  sessions_owner : session Bgp.Session.owner;
 }
-
-(* [create] is completed by [hook_lifecycle] at the bottom of this file. *)
-let create_unhooked ?liveness ~sim ~send_relay () =
-  let rng = Engine.Rng.split (Engine.Sim.rng sim) in
-  {
-    sim;
-    node = Engine.Node.create ~kind:"speaker" ~rng sim ~name:"speaker";
-    rng;
-    liveness;
-    send_relay;
-    sessions = Hashtbl.create 32;
-    session_order = [];
-    on_update = (fun ~member:_ ~neighbor:_ _ -> ());
-    on_session = (fun ~member:_ ~neighbor:_ ~up:_ -> ());
-    stats = { updates_in = 0; updates_out = 0; opens = 0 };
-    batch_depth = 0;
-    any_dirty = false;
-    hold_expirations =
-      Engine.Metrics.counter (Engine.Sim.metrics sim)
-        ~help:"sessions torn down by hold-timer expiry"
-        ~labels:[ ("node", "speaker") ]
-        "bgp_hold_expirations_total";
-  }
 
 let node t = t.node
 
@@ -93,26 +60,33 @@ let set_handlers t ~on_update ~on_session =
 
 let find t ~member ~neighbor = Hashtbl.find_opt t.sessions (member, neighbor)
 
-let sessions t = t.session_order
+(* Sessions in configuration order.  Registration conses onto
+   [session_order]; this walks it oldest-first without copying it. *)
+let iter_configured t f =
+  let rec go = function
+    | [] -> ()
+    | s :: older ->
+      go older;
+      f s
+  in
+  go t.session_order
+
+let iter_sessions t f = iter_configured t (fun s -> f ~member:s.member ~neighbor:s.neighbor)
+
+let sessions t = List.rev_map (fun s -> (s.member, s.neighbor)) t.session_order
 
 let sessions_of t member =
-  List.filter_map
-    (fun (m, n) -> if Net.Asn.equal m member then Some n else None)
-    t.session_order
+  List.fold_left
+    (fun acc s -> if Net.Asn.equal s.member member then s.neighbor :: acc else acc)
+    [] t.session_order
 
 let session_established t ~member ~neighbor =
-  match find t ~member ~neighbor with Some s -> s.established | None -> false
-
-let stats t = t.stats
+  match find t ~member ~neighbor with
+  | Some s -> Bgp.Session.established s.session
+  | None -> false
 
 let send_wire t (s : session) msg =
-  let sent = t.send_relay ~member:s.member ~neighbor:s.neighbor msg in
-  if sent then begin
-    match msg with
-    | Bgp.Message.Update _ -> t.stats.updates_out <- t.stats.updates_out + 1
-    | Bgp.Message.Open _ | Bgp.Message.Keepalive | Bgp.Message.Notification _ -> ()
-  end;
-  sent
+  ignore (t.send_relay ~member:s.member ~neighbor:s.neighbor msg)
 
 let add_session ?(mrai_config : Bgp.Config.t option) t ~member ~neighbor ~member_addr =
   let key = (member, neighbor) in
@@ -127,15 +101,14 @@ let add_session ?(mrai_config : Bgp.Config.t option) t ~member ~neighbor ~member
           ~name:(Fmt.str "speaker-mrai-%a-%a" Net.Asn.pp member Net.Asn.pp neighbor)
           ~send:(fun update ->
             match !self with
-            | Some s when s.established ->
-              ignore (send_wire t s (Bgp.Message.Update update))
+            | Some s when Bgp.Session.established s.session ->
+              send_wire t s (Bgp.Message.Update update)
             | Some _ | None -> ()))
       mrai_config
   in
   let s =
-    { member; neighbor; member_addr; established = false; open_sent = false; peer_hold = 0;
-      adj_out = Pt.create (); mrai; pending = Pm.empty; dirty = false; keepalive = None;
-      hold = None }
+    { member; neighbor; member_addr; session = Bgp.Session.create (); adj_out = Pt.create ();
+      mrai; pending = Pm.empty; dirty = false }
   in
   self := Some s;
   Option.iter
@@ -148,9 +121,9 @@ let add_session ?(mrai_config : Bgp.Config.t option) t ~member ~neighbor ~member
           else Bgp.Mrai.flush_event m))
     mrai;
   Hashtbl.replace t.sessions key s;
-  t.session_order <- t.session_order @ [ key ]
+  t.session_order <- s :: t.session_order
 
-(* End-of-scope flush, in deterministic [session_order]. *)
+(* End-of-scope flush, in configuration order. *)
 let flush_session t (s : session) =
   s.dirty <- false;
   (match s.mrai with Some m -> Bgp.Mrai.flush_event m | None -> ());
@@ -164,22 +137,15 @@ let flush_session t (s : session) =
         s.pending ([], [])
     in
     s.pending <- Pm.empty;
-    if s.established then
-      ignore
-        (send_wire t s
-           (Bgp.Message.update ~announced:(List.rev announced)
-              ~withdrawn:(List.rev withdrawn) ()))
+    if Bgp.Session.established s.session then
+      send_wire t s
+        (Bgp.Message.update ~announced:(List.rev announced) ~withdrawn:(List.rev withdrawn) ())
   end
 
 let flush_batch t =
   if t.any_dirty then begin
     t.any_dirty <- false;
-    List.iter
-      (fun key ->
-        match Hashtbl.find_opt t.sessions key with
-        | Some s when s.dirty -> flush_session t s
-        | Some _ | None -> ())
-      t.session_order
+    iter_configured t (fun s -> if s.dirty then flush_session t s)
   end
 
 let with_batch t f =
@@ -190,138 +156,41 @@ let with_batch t f =
       if t.batch_depth = 0 then flush_batch t)
     f
 
-(* The hold time (whole seconds) the speaker proposes; 0 (liveness off)
-   opts sessions out of keepalive supervision entirely. *)
-let our_hold_secs t =
-  match t.liveness with
-  | None -> 0
-  | Some { Bgp.Config.hold_time; _ } -> max 1 (int_of_float (Engine.Time.to_sec_f hold_time))
-
-let negotiated_hold t (s : session) =
-  let ours = our_hold_secs t in
-  if ours = 0 || s.peer_hold = 0 then None else Some (Engine.Time.sec (min ours s.peer_hold))
-
-let send_open t (s : session) =
-  t.stats.opens <- t.stats.opens + 1;
-  ignore
-    (send_wire t s
-       (Bgp.Message.Open
-          { asn = s.member; router_id = s.member_addr; hold_time = our_hold_secs t }))
-
 let open_session t ~member ~neighbor =
   match find t ~member ~neighbor with
   | None ->
     invalid_arg
       (Fmt.str "Speaker.open_session: unknown %a/%a" Net.Asn.pp member Net.Asn.pp neighbor)
-  | Some s ->
-    if not s.open_sent then begin
-      s.open_sent <- true;
-      send_open t s
-    end
+  | Some s -> Bgp.Session.open_ t.sessions_owner s
 
-let open_all t =
-  List.iter (fun (member, neighbor) -> open_session t ~member ~neighbor) t.session_order
-
-let stop_liveness (s : session) =
-  Option.iter Engine.Timer.cancel s.keepalive;
-  Option.iter Engine.Timer.cancel s.hold
+let open_all t = iter_configured t (Bgp.Session.open_ t.sessions_owner)
 
 let session_down t ~member ~neighbor =
   match find t ~member ~neighbor with
   | None -> ()
   | Some s ->
-    if s.established || s.open_sent then begin
-      s.established <- false;
-      s.open_sent <- false;
+    if Bgp.Session.down s.session then begin
       Pt.clear s.adj_out;
       s.pending <- Pm.empty;
       s.dirty <- false;
       Option.iter Bgp.Mrai.reset s.mrai;
-      stop_liveness s;
       t.on_session ~member ~neighbor ~up:false
     end
-
-(* Per-session KEEPALIVE emission + hold supervision, mirroring
-   Router.start_liveness (negotiated hold, jittered emission). *)
-let start_liveness t (s : session) =
-  match (t.liveness, negotiated_hold t s) with
-  | None, _ | _, None -> ()
-  | Some { Bgp.Config.interval; _ }, Some hold_time ->
-    let interval =
-      Engine.Time.min interval (Engine.Time.span_scale hold_time (1.0 /. 3.0))
-    in
-    let jittered () = Engine.Rng.jitter_span t.rng interval ~lo:0.75 ~hi:1.0 in
-    let keepalive =
-      match s.keepalive with
-      | Some timer -> timer
-      | None ->
-        let timer_ref = ref None in
-        let emit () =
-          if s.established then begin
-            ignore (send_wire t s Bgp.Message.Keepalive);
-            Option.iter (fun timer -> Engine.Timer.start timer (jittered ())) !timer_ref
-          end
-        in
-        let timer =
-          Engine.Timer.create ~category:"speaker.liveness" t.sim
-            ~name:(Fmt.str "speaker-keepalive-%a-%a" Net.Asn.pp s.member Net.Asn.pp s.neighbor)
-            ~callback:emit
-        in
-        timer_ref := Some timer;
-        s.keepalive <- Some timer;
-        Engine.Node.own_timer t.node timer;
-        timer
-    in
-    let hold =
-      match s.hold with
-      | Some timer -> timer
-      | None ->
-        let timer =
-          Engine.Timer.create ~category:"speaker.liveness" t.sim
-            ~name:(Fmt.str "speaker-hold-%a-%a" Net.Asn.pp s.member Net.Asn.pp s.neighbor)
-            ~callback:(fun () ->
-              Engine.Metrics.Counter.inc t.hold_expirations;
-              ignore (send_wire t s (Bgp.Message.Notification "hold timer expired"));
-              session_down t ~member:s.member ~neighbor:s.neighbor)
-        in
-        s.hold <- Some timer;
-        Engine.Node.own_timer t.node timer;
-        timer
-    in
-    Engine.Timer.start keepalive (jittered ());
-    Engine.Timer.start hold hold_time
-
-let establish t (s : session) =
-  if not s.established then begin
-    s.established <- true;
-    start_liveness t s;
-    t.on_session ~member:s.member ~neighbor:s.neighbor ~up:true
-  end
-
-let touch_hold t (s : session) =
-  match (negotiated_hold t s, s.hold) with
-  | Some hold_time, Some hold when s.established -> Engine.Timer.start hold hold_time
-  | _, _ -> ()
 
 (* A BGP message relayed in from a border switch. *)
 let handle_relay t ~member ~neighbor (msg : Bgp.Message.t) =
   match find t ~member ~neighbor with
   | None -> ()
   | Some s -> (
-    touch_hold t s;
+    Bgp.Session.touch t.sessions_owner s.session;
     match msg with
     | Bgp.Message.Open { hold_time; _ } ->
-      s.peer_hold <- hold_time;
-      if not s.open_sent then begin
-        s.open_sent <- true;
-        send_open t s
-      end;
-      establish t s
+      if Bgp.Session.receive_open t.sessions_owner s ~hold_time then
+        t.on_session ~member ~neighbor ~up:true
     | Bgp.Message.Keepalive -> ()
     | Bgp.Message.Notification _ -> session_down t ~member ~neighbor
     | Bgp.Message.Update u ->
-      if s.established then begin
-        t.stats.updates_in <- t.stats.updates_in + 1;
+      if Bgp.Session.established s.session then begin
         if Engine.Causal.enabled (Engine.Sim.causal t.sim) then
           Engine.Sim.annotate t.sim ~category:"speaker.relay" ~node:"speaker"
             ~label:(Net.Asn.to_string neighbor) ();
@@ -332,7 +201,7 @@ let handle_relay t ~member ~neighbor (msg : Bgp.Message.t) =
 let announce t ~member ~neighbor prefix attrs =
   match find t ~member ~neighbor with
   | None -> ()
-  | Some s when not s.established -> ()
+  | Some s when not (Bgp.Session.established s.session) -> ()
   | Some s -> (
     match Pt.find prefix s.adj_out with
     | Some prev when Bgp.Attrs.wire_equal prev attrs -> ()
@@ -345,13 +214,12 @@ let announce t ~member ~neighbor prefix attrs =
         s.dirty <- true;
         t.any_dirty <- true
       | None ->
-        ignore
-          (send_wire t s (Bgp.Message.update ~announced:[ (prefix, attrs) ] ()))))
+        send_wire t s (Bgp.Message.update ~announced:[ (prefix, attrs) ] ())))
 
 let withdraw t ~member ~neighbor prefix =
   match find t ~member ~neighbor with
   | None -> ()
-  | Some s when not s.established -> ()
+  | Some s when not (Bgp.Session.established s.session) -> ()
   | Some s ->
     if Pt.remove prefix s.adj_out then begin
       match s.mrai with
@@ -360,7 +228,7 @@ let withdraw t ~member ~neighbor prefix =
         s.pending <- Pm.add prefix Pend_withdraw s.pending;
         s.dirty <- true;
         t.any_dirty <- true
-      | None -> ignore (send_wire t s (Bgp.Message.update ~withdrawn:[ prefix ] ()))
+      | None -> send_wire t s (Bgp.Message.update ~withdrawn:[ prefix ] ())
     end
 
 let advertised t ~member ~neighbor prefix =
@@ -368,34 +236,21 @@ let advertised t ~member ~neighbor prefix =
 
 (* --- Lifecycle and checkpointing --------------------------------------- *)
 
-type session_ck = {
-  sk_member : Net.Asn.t;
-  sk_neighbor : Net.Asn.t;
-  sk_established : bool;
-  sk_open_sent : bool;
-  sk_peer_hold : int;
-  sk_adj_out : (Net.Ipv4.prefix * Bgp.Attrs.t) list;
-  sk_mrai : Bgp.Mrai.state option;
-}
-
-type Engine.Node.blob += Speaker_state of Engine.Rng.t * session_ck list
+type Engine.Node.blob +=
+  | Speaker_state of
+      Engine.Rng.t
+      * (session_key * Bgp.Session.checkpoint * (Net.Ipv4.prefix * Bgp.Attrs.t) list
+        * Bgp.Mrai.state option)
+        list
 
 let snapshot t =
   let sessions =
-    List.filter_map
-      (fun key ->
-        Option.map
-          (fun s ->
-            {
-              sk_member = s.member;
-              sk_neighbor = s.neighbor;
-              sk_established = s.established;
-              sk_open_sent = s.open_sent;
-              sk_peer_hold = s.peer_hold;
-              sk_adj_out = Pt.entries s.adj_out;
-              sk_mrai = Option.map Bgp.Mrai.state s.mrai;
-            })
-          (Hashtbl.find_opt t.sessions key))
+    List.rev_map
+      (fun s ->
+        ( (s.member, s.neighbor),
+          Bgp.Session.checkpoint s.session,
+          Pt.entries s.adj_out,
+          Option.map Bgp.Mrai.state s.mrai ))
       t.session_order
   in
   Speaker_state (Engine.Rng.copy t.rng, sessions)
@@ -404,19 +259,14 @@ let restore t = function
   | Speaker_state (rng, sessions) ->
     Engine.Rng.assign ~from:rng t.rng;
     List.iter
-      (fun sk ->
-        match find t ~member:sk.sk_member ~neighbor:sk.sk_neighbor with
+      (fun (key, session, adj_out, mrai) ->
+        match Hashtbl.find_opt t.sessions key with
         | None -> ()
         | Some s ->
-          s.established <- sk.sk_established;
-          s.open_sent <- sk.sk_open_sent;
-          s.peer_hold <- sk.sk_peer_hold;
           Pt.clear s.adj_out;
-          List.iter (fun (p, a) -> Pt.set p a s.adj_out) sk.sk_adj_out;
-          (match (s.mrai, sk.sk_mrai) with
-          | Some m, Some st -> Bgp.Mrai.restore m st
-          | _ -> ());
-          if s.established then start_liveness t s)
+          List.iter (fun (p, a) -> Pt.set p a s.adj_out) adj_out;
+          (match (s.mrai, mrai) with Some m, Some st -> Bgp.Mrai.restore m st | _ -> ());
+          Bgp.Session.restore t.sessions_owner s session)
       sessions
   | _ -> invalid_arg "Speaker.restore: foreign snapshot blob"
 
@@ -428,9 +278,7 @@ let restore t = function
 let on_crashed t =
   Hashtbl.iter
     (fun _ s ->
-      s.established <- false;
-      s.open_sent <- false;
-      s.peer_hold <- 0;
+      Bgp.Session.reset s.session;
       Pt.clear s.adj_out;
       s.pending <- Pm.empty;
       s.dirty <- false;
@@ -441,17 +289,49 @@ let on_crashed t =
    remote router tears the old session down (flushing our stale routes)
    and answers the OPEN like a cold start. *)
 let on_restarted t =
-  List.iter
-    (fun (member, neighbor) ->
-      match find t ~member ~neighbor with
-      | None -> ()
-      | Some s ->
-        ignore (send_wire t s (Bgp.Message.Notification "speaker restarted"));
-        open_session t ~member ~neighbor)
-    t.session_order
+  iter_configured t (fun s ->
+      send_wire t s (Bgp.Message.Notification "speaker restarted");
+      Bgp.Session.open_ t.sessions_owner s)
 
 let create ?liveness ~sim ~send_relay () =
-  let t = create_unhooked ?liveness ~sim ~send_relay () in
+  let rng = Engine.Rng.split (Engine.Sim.rng sim) in
+  let node = Engine.Node.create ~kind:"speaker" ~rng sim ~name:"speaker" in
+  let rec t =
+    {
+      sim;
+      node;
+      rng;
+      send_relay;
+      sessions = Hashtbl.create 32;
+      session_order = [];
+      on_update = (fun ~member:_ ~neighbor:_ _ -> ());
+      on_session = (fun ~member:_ ~neighbor:_ ~up:_ -> ());
+      batch_depth = 0;
+      any_dirty = false;
+      sessions_owner;
+    }
+  (* No [reconnect]: like ExaBGP, the speaker waits for the neighbour's
+     OPEN (or the link watcher) instead of retrying its own. *)
+  and sessions_owner =
+    {
+      Bgp.Session.node;
+      rng;
+      keepalives = liveness;
+      reconnect = None;
+      category = "speaker.liveness";
+      hold_expirations =
+        Engine.Metrics.counter (Engine.Sim.metrics sim)
+          ~help:"sessions torn down by hold-timer expiry" ~labels:[ ("node", "speaker") ]
+          "bgp_hold_expirations_total";
+      session = (fun s -> s.session);
+      identity = (fun s -> (s.member, s.member_addr));
+      timer_name =
+        (fun kind s ->
+          Fmt.str "speaker-%s-%a-%a" kind Net.Asn.pp s.member Net.Asn.pp s.neighbor);
+      send = (fun s msg -> send_wire t s msg);
+      teardown = (fun s -> session_down t ~member:s.member ~neighbor:s.neighbor);
+    }
+  in
   Engine.Node.on_crash t.node (fun () -> on_crashed t);
   Engine.Node.on_start t.node (fun ~first -> if not first then on_restarted t);
   Engine.Node.set_snapshot t.node (fun () -> snapshot t);

@@ -4,12 +4,6 @@
 
 type t
 
-type stats = {
-  mutable updates_in : int;
-  mutable updates_out : int;
-  mutable opens : int;
-}
-
 val create :
   ?liveness:Bgp.Config.keepalive ->
   sim:Engine.Sim.t ->
@@ -46,11 +40,12 @@ val add_session :
 val sessions : t -> (Net.Asn.t * Net.Asn.t) list
 (** (member, neighbor) pairs in configuration order. *)
 
+val iter_sessions : t -> (member:Net.Asn.t -> neighbor:Net.Asn.t -> unit) -> unit
+(** The same pairs in the same order, without building the list. *)
+
 val sessions_of : t -> Net.Asn.t -> Net.Asn.t list
 
 val session_established : t -> member:Net.Asn.t -> neighbor:Net.Asn.t -> bool
-
-val stats : t -> stats
 
 val open_session : t -> member:Net.Asn.t -> neighbor:Net.Asn.t -> unit
 

@@ -47,7 +47,7 @@ type t = {
   scheduled_by : (string, Metrics.Counter.t) Hashtbl.t;
   executed_by : (string, Metrics.Counter.t) Hashtbl.t;
   reaped : Metrics.Counter.t;
-  mutable on_wake : (unit -> unit) list;
+  mutable on_wake : (unit -> unit) list; (* newest first *)
 }
 
 let compare_event a b =
@@ -136,6 +136,14 @@ let profile t =
     t.profile []
   |> List.sort (fun a b -> String.compare a.category b.category)
 
+(* [on_wake] hooks are consed newest-first; run them in registration
+   order without allocating. *)
+let rec wake = function
+  | [] -> ()
+  | f :: older ->
+    wake older;
+    f ()
+
 let category_counter cache metrics name category =
   match Hashtbl.find_opt cache category with
   | Some c -> c
@@ -157,13 +165,13 @@ let schedule_at ?(category = "event") ?(key = default_key) t fire_at action =
   Heap.push t.queue ev;
   (* Notify after the push so a hook's own scheduling sees a non-empty
      queue and cannot re-trigger the transition. *)
-  if was_empty then List.iter (fun f -> f ()) t.on_wake;
+  if was_empty then wake t.on_wake;
   ev
 
 let schedule_after ?category ?key t span action =
   schedule_at ?category ?key t (Time.add t.now span) action
 
-let on_wake t f = t.on_wake <- t.on_wake @ [ f ]
+let on_wake t f = t.on_wake <- f :: t.on_wake
 
 let cancel ev = ev.cancelled <- true
 

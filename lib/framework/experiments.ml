@@ -299,22 +299,15 @@ let choose_members ~spec ~k ~placement ~origin ~seed =
   let candidates =
     List.filter (fun a -> not (Net.Asn.equal a origin)) (Topology.Spec.asns spec)
   in
-  (* Degrees counted once: [Spec.neighbors] scans every link, so calling
-     it from the comparator would make the sort O(n log n * links). *)
-  let degrees = Hashtbl.create 64 in
-  let degree a = Option.value (Hashtbl.find_opt degrees a) ~default:0 in
-  List.iter
-    (fun (l : Topology.Spec.link_spec) ->
-      Hashtbl.replace degrees l.a (degree l.a + 1);
-      if not (Net.Asn.equal l.a l.b) then Hashtbl.replace degrees l.b (degree l.b + 1))
-    (Topology.Spec.links spec);
+  let by_degree order =
+    List.map (fun a -> (List.length (Topology.Spec.links_of spec a), a)) candidates
+    |> List.stable_sort (fun (d, _) (e, _) -> order d e)
+    |> List.filteri (fun i _ -> i < k)
+    |> List.map snd
+  in
   match placement with
-  | Top_degree ->
-    List.stable_sort (fun a b -> Int.compare (degree b) (degree a)) candidates
-    |> List.filteri (fun i _ -> i < k)
-  | Stubs_first ->
-    List.stable_sort (fun a b -> Int.compare (degree a) (degree b)) candidates
-    |> List.filteri (fun i _ -> i < k)
+  | Top_degree -> by_degree (fun d e -> Int.compare e d)
+  | Stubs_first -> by_degree Int.compare
   | Random_choice -> Engine.Rng.sample (Engine.Rng.create seed) k candidates
 
 (* Withdrawal convergence with [k] members placed by [placement]. *)
@@ -381,7 +374,7 @@ type scale_result = {
   sdn_members : int;
   load_updates : int; (* collector-recorded updates during the load phase *)
   load_seconds : float; (* host seconds spent in the load phase *)
-  updates_per_sec : float; (* load_updates / load_seconds *)
+  updates_per_sec : float; (* collector updates per second: load_updates / load_seconds *)
   load_settled : bool; (* the load phase reached quiescence under its budget *)
   withdrawal : run_result; (* the measured withdrawal after the load *)
   rib_routes : int; (* Loc-RIB entries summed over legacy routers *)

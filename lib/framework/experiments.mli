@@ -149,6 +149,9 @@ type scale_result = {
   load_updates : int;  (** collector-recorded updates during the load phase *)
   load_seconds : float;  (** host seconds spent in the load phase *)
   updates_per_sec : float;
+      (** collector updates per host second of the load phase
+          ([load_updates / load_seconds]); it counts what the collector
+          saw, not UPDATEs the routers exchanged *)
   load_settled : bool;
       (** the load phase reached quiescence within its event budget *)
   withdrawal : run_result;  (** the measured withdrawal after the load *)

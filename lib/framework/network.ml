@@ -36,12 +36,10 @@ type t = {
   controller : Cluster_ctl.Controller.t option;
   speaker : Cluster_ctl.Speaker.t option;
   data_stats : data_stats;
-  mutable on_deliver : (Net.Asn.t -> Net.Packet.t -> unit) list;
+  mutable on_deliver : (Net.Asn.t -> Net.Packet.t -> unit) list; (* newest first *)
   mutable auto_reply : bool;
   (* relationships of peerings added at runtime, keyed (me, neighbor) *)
   rel_overrides : (Net.Asn.t * Net.Asn.t, Bgp.Policy.relationship) Hashtbl.t;
-  (* (me, neighbor) -> spec link, both directions; see [index_links] *)
-  link_index : (Net.Asn.t * Net.Asn.t, Topology.Spec.link_spec) Hashtbl.t;
   (* sharded execution: which fabric nodes this instance executes.  The
      full network is always CONSTRUCTED (replicated construction keeps
      every per-component RNG stream identical across shards); ownership
@@ -138,7 +136,15 @@ let remove_local_prefix t asn prefix =
   let s = local_set t asn in
   s := Net.Ipv4.Prefix_set.remove prefix !s
 
-let subscribe_deliver t f = t.on_deliver <- t.on_deliver @ [ f ]
+let subscribe_deliver t f = t.on_deliver <- f :: t.on_deliver
+
+(* Subscribers are consed newest-first; notify them in subscription order
+   without allocating. *)
+let rec notify_deliver asn packet = function
+  | [] -> ()
+  | f :: older ->
+    notify_deliver asn packet older;
+    f asn packet
 
 let set_auto_reply t flag = t.auto_reply <- flag
 
@@ -146,7 +152,7 @@ let set_auto_reply t flag = t.auto_reply <- flag
 
 let rec deliver_local t asn (packet : Net.Packet.t) =
   t.data_stats.delivered <- t.data_stats.delivered + 1;
-  List.iter (fun f -> f asn packet) t.on_deliver;
+  notify_deliver asn packet t.on_deliver;
   if t.auto_reply then
     match Net.Packet.reply_to packet with
     | Some reply -> inject t ~src:asn reply
@@ -177,22 +183,10 @@ and inject t ~src (packet : Net.Packet.t) =
 
 (* --- Construction ------------------------------------------------------- *)
 
-(* (me, neighbor) -> spec link, both directions.  Built once per network:
-   the naive per-peering List.find_opt over the full link list made
-   construction O(E^2), which dominates setup on Internet-scale graphs. *)
-let index_links spec =
-  let idx = Hashtbl.create 1024 in
-  List.iter
-    (fun (l : Topology.Spec.link_spec) ->
-      Hashtbl.replace idx (l.Topology.Spec.a, l.Topology.Spec.b) l;
-      Hashtbl.replace idx (l.Topology.Spec.b, l.Topology.Spec.a) l)
-    (Topology.Spec.links spec);
-  idx
-
-let indexed_relationship link_index ~me ~neighbor =
+let spec_relationship spec ~me ~neighbor =
   if Net.Asn.equal neighbor collector_asn then Bgp.Policy.Customer
   else begin
-    match Hashtbl.find_opt link_index (me, neighbor) with
+    match Topology.Spec.link_between spec me neighbor with
     | None -> Bgp.Policy.Unrestricted
     | Some l -> (
       match Topology.Spec.neighbor_role_of_link ~me l with
@@ -208,7 +202,7 @@ let indexed_relationship link_index ~me ~neighbor =
 let relationship_for t ~me ~neighbor =
   match Hashtbl.find_opt t.rel_overrides (me, neighbor) with
   | Some rel -> rel
-  | None -> indexed_relationship t.link_index ~me ~neighbor
+  | None -> spec_relationship t.spec ~me ~neighbor
 
 let policy_for t ~me ~neighbor = Bgp.Policy.make (relationship_for t ~me ~neighbor)
 
@@ -221,7 +215,6 @@ let create ?(config = Config.default) ?(order = Engine.Sim.Seq) ?(owned = fun _ 
   let sim = Engine.Sim.create ~order ~seed ~causal:config.Config.causal () in
   let net = Net.Netsim.create sim in
   let plan = Addressing.plan spec in
-  let link_index = index_links spec in
   let all_asns = Topology.Spec.asns spec in
   let sdn = Topology.Spec.sdn_asns spec in
   let sdn_set = Net.Asn.Set.of_list sdn in
@@ -304,7 +297,7 @@ let create ?(config = Config.default) ?(order = Engine.Sim.Seq) ?(owned = fun _ 
       List.iter
         (fun neighbor ->
           Bgp.Router.add_peer router ~peer_asn:neighbor ~peer_node:(Net.Asn.to_int neighbor)
-            ~policy:(Bgp.Policy.make (indexed_relationship link_index ~me:asn ~neighbor)))
+            ~policy:(Bgp.Policy.make (spec_relationship spec ~me:asn ~neighbor)))
         (Topology.Spec.neighbors spec asn);
       Bgp.Router.add_peer router ~peer_asn:collector_asn ~peer_node:collector_node
         ~policy:(Bgp.Policy.make Bgp.Policy.Customer);
@@ -447,7 +440,6 @@ let create ?(config = Config.default) ?(order = Engine.Sim.Seq) ?(owned = fun _ 
       on_deliver = [];
       auto_reply = true;
       rel_overrides = Hashtbl.create 8;
-      link_index;
       owned;
     }
   in

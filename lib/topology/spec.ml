@@ -16,7 +16,18 @@ type node_spec = { asn : Net.Asn.t; role : role; name : string }
 
 type link_spec = { a : Net.Asn.t; b : Net.Asn.t; rel : rel; delay_us : int option }
 
-type t = { title : string; nodes : node_spec list; links : link_spec list }
+(* The indexes are built eagerly by [make]/[with_sdn] and never written
+   afterwards: specs are shared read-only across [Pool] domains.
+   [adjacent] holds each AS's links in spec order (peer-add order, and so
+   RNG splits, follow it); [between] maps both (a, b) and (b, a). *)
+type t = {
+  title : string;
+  nodes : node_spec list;
+  links : link_spec list;
+  by_asn : node_spec Net.Asn.Map.t;
+  adjacent : link_spec list Net.Asn.Map.t;
+  between : (Net.Asn.t * Net.Asn.t, link_spec) Hashtbl.t;
+}
 
 let rel_to_string = function
   | C2p -> "c2p"
@@ -39,7 +50,28 @@ let node ?(role = Legacy) ?name asn =
 
 let link ?(rel = Open) ?delay_us a b = { a; b; rel; delay_us }
 
-let make ~title ~nodes ~links = { title; nodes; links }
+(* The first node of an ASN wins, as a list scan would find it. *)
+let index_nodes nodes =
+  List.fold_left
+    (fun m n -> if Net.Asn.Map.mem n.asn m then m else Net.Asn.Map.add n.asn n m)
+    Net.Asn.Map.empty nodes
+
+let index_links links =
+  let add asn l m =
+    Net.Asn.Map.update asn (fun ls -> Some (l :: Option.value ls ~default:[])) m
+  in
+  List.fold_left
+    (fun m l -> if Net.Asn.equal l.a l.b then add l.a l m else add l.b l (add l.a l m))
+    Net.Asn.Map.empty (List.rev links)
+
+let make ~title ~nodes ~links =
+  let between = Hashtbl.create (2 * List.length links) in
+  List.iter
+    (fun l ->
+      Hashtbl.replace between (l.a, l.b) l;
+      Hashtbl.replace between (l.b, l.a) l)
+    links;
+  { title; nodes; links; by_asn = index_nodes nodes; adjacent = index_links links; between }
 
 let title t = t.title
 
@@ -53,9 +85,9 @@ let node_count t = List.length t.nodes
 
 let link_count t = List.length t.links
 
-let find_node t asn = List.find_opt (fun n -> Net.Asn.equal n.asn asn) t.nodes
+let find_node t asn = Net.Asn.Map.find_opt asn t.by_asn
 
-let mem t asn = Option.is_some (find_node t asn)
+let mem t asn = Net.Asn.Map.mem asn t.by_asn
 
 let sdn_asns t = List.filter_map (fun n -> if n.role = Sdn then Some n.asn else None) t.nodes
 
@@ -69,18 +101,18 @@ let role_of t asn =
 
 (* Mark the given ASes as SDN-controlled, all others legacy. *)
 let with_sdn t sdn =
-  let is_sdn asn = List.exists (Net.Asn.equal asn) sdn in
   List.iter
     (fun asn ->
       if not (mem t asn) then invalid_arg (Fmt.str "Spec.with_sdn: unknown %a" Net.Asn.pp asn))
     sdn;
-  {
-    t with
-    nodes = List.map (fun n -> { n with role = (if is_sdn n.asn then Sdn else Legacy) }) t.nodes;
-  }
+  let sdn = Net.Asn.Set.of_list sdn in
+  let role asn = if Net.Asn.Set.mem asn sdn then Sdn else Legacy in
+  let nodes = List.map (fun n -> { n with role = role n.asn }) t.nodes in
+  { t with nodes; by_asn = index_nodes nodes }
 
-let links_of t asn =
-  List.filter (fun l -> Net.Asn.equal l.a asn || Net.Asn.equal l.b asn) t.links
+let links_of t asn = Option.value (Net.Asn.Map.find_opt asn t.adjacent) ~default:[]
+
+let link_between t a b = Hashtbl.find_opt t.between (a, b)
 
 let neighbors t asn =
   List.map (fun l -> if Net.Asn.equal l.a asn then l.b else l.a) (links_of t asn)

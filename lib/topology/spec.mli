@@ -53,9 +53,17 @@ val role_of : t -> Net.Asn.t -> role
 val with_sdn : t -> Net.Asn.t list -> t
 (** Mark exactly the given ASes as SDN-controlled. *)
 
+(** The lookups below read indexes built by {!make} and {!with_sdn}. *)
+
 val links_of : t -> Net.Asn.t -> link_spec list
+(** The AS's links, in spec order. *)
 
 val neighbors : t -> Net.Asn.t -> Net.Asn.t list
+(** The other ends of {!links_of}, in the same order. *)
+
+val link_between : t -> Net.Asn.t -> Net.Asn.t -> link_spec option
+(** The link joining two ASes, in either direction (the last such link in
+    spec order). *)
 
 (** A neighbor's role relative to a given AS. *)
 type neighbor_role = Customer | Provider | Peer | Sibling | Unrestricted

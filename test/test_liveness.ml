@@ -120,10 +120,58 @@ let test_wait_quiet_with_keepalives () =
   Alcotest.(check bool) "route present" true
     (Bgp.Router.best r1 (plan.Framework.Addressing.origin_prefix origin) <> None)
 
+(* Framework-level liveness golden: routers and the cluster speaker both
+   run keepalive/hold supervision ([Config.failure_test]); two links go
+   silent long enough for hold expiry, then heal and the backoff
+   reconnects race the peers' own OPENs.  Every figure below is pinned,
+   so a change to session timing, jitter draws or event categories shows
+   up here. *)
+let test_framework_liveness_golden () =
+  let module N = Framework.Network in
+  let a = Topology.Artificial.asn in
+  let spec =
+    Topology.Spec.with_sdn (Topology.Artificial.clique 8) [ a 4; a 5; a 6; a 7 ]
+  in
+  let net = N.create ~config:Framework.Config.failure_test ~seed:2014 spec in
+  let watcher = Framework.Convergence.attach net in
+  N.start net;
+  let plan = N.plan net in
+  N.originate net (a 0) (plan.Framework.Addressing.origin_prefix (a 0));
+  (match Framework.Convergence.wait_quiet ~quiet:(Time.sec 3) watcher with
+  | `Quiet _ -> ()
+  | `Timeout _ -> Alcotest.fail "must go quiet");
+  let lossy =
+    List.map
+      (fun (x, y) ->
+        Option.get
+          (Net.Netsim.link_between (N.fabric net) (Net.Asn.to_int x) (Net.Asn.to_int y)))
+      [ (a 1, a 2); (a 2, a 7) ]
+  in
+  List.iter (fun l -> Net.Link.set_loss l 1.0) lossy;
+  N.run_until net (Time.add (N.now net) (Time.sec 12));
+  List.iter (fun l -> Net.Link.set_loss l 0.0) lossy;
+  N.run_until net (Time.add (N.now net) (Time.sec 90));
+  let sim = N.sim net in
+  let snap = Metrics.snapshot (Sim.metrics sim) ~at:(Sim.now sim) in
+  let value name labels =
+    Option.value ~default:0.0 (Metrics.value snap ~labels name) |> int_of_float
+  in
+  let expirations node = value "bgp_hold_expirations_total" [ ("node", node) ] in
+  let executed category = value "sim_events_executed_total" [ ("category", category) ] in
+  Alcotest.(check (list int)) "hold expirations AS65002, AS65003, speaker" [ 2; 2; 1 ]
+    [ expirations "AS65002"; expirations "AS65003"; expirations "speaker" ];
+  Alcotest.(check (list int)) "bgp.liveness, speaker.liveness, bgp.reconnect events"
+    [ 1662; 954; 49 ]
+    [ executed "bgp.liveness"; executed "speaker.liveness"; executed "bgp.reconnect" ];
+  Alcotest.(check int) "events executed" 8737 (Sim.executed sim);
+  Alcotest.(check string) "prometheus export digest" "01be09439e01f1d37018993f1b9a0988"
+    (Digest.to_hex (Digest.string (Metrics.to_prometheus snap)))
+
 let suite =
   [
     Alcotest.test_case "keepalives maintain session" `Quick test_keepalives_maintain_session;
     Alcotest.test_case "silent failure detected" `Quick test_silent_failure_detected;
     Alcotest.test_case "routes flushed on hold expiry" `Quick test_routes_flushed_on_hold_expiry;
     Alcotest.test_case "wait_quiet with keepalives" `Quick test_wait_quiet_with_keepalives;
+    Alcotest.test_case "framework liveness golden" `Quick test_framework_liveness_golden;
   ]

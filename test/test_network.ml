@@ -227,6 +227,41 @@ let test_determinism () =
   let a = run () and b = run () in
   Alcotest.(check (triple int int int)) "bit-identical rerun" a b
 
+(* Delivery subscribers run in subscription order, and subscribing costs
+   the same however many subscribers there already are. *)
+let test_subscribe_deliver_registration () =
+  let net = build 3 in
+  let plan = Framework.Network.plan net in
+  Framework.Network.originate net (asn 0) (plan.Framework.Addressing.origin_prefix (asn 0));
+  ignore (Framework.Network.settle net);
+  let log = ref [] in
+  List.iter
+    (fun i -> Framework.Network.subscribe_deliver net (fun _ _ -> log := i :: !log))
+    [ 1; 2; 3; 4 ];
+  Framework.Network.set_auto_reply net false;
+  Framework.Network.inject net ~src:(asn 1)
+    (Net.Packet.echo
+       ~src:(plan.Framework.Addressing.host_addr (asn 1))
+       ~dst:(plan.Framework.Addressing.host_addr (asn 0))
+       1);
+  ignore (Framework.Network.settle net);
+  Alcotest.(check (list int)) "subscription order" [ 1; 2; 3; 4 ] (List.rev !log);
+  let f _ _ = () in
+  let words_per_registration n =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      Framework.Network.subscribe_deliver net f
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let first = words_per_registration 1000 in
+  ignore (words_per_registration 20_000);
+  let late = words_per_registration 1000 in
+  Alcotest.(check bool)
+    (Fmt.str "%.2f words per subscription (first %.2f) <= 4" late first)
+    true
+    (first <= 4.0 && late <= 4.0)
+
 let suite =
   [
     Alcotest.test_case "sessions up" `Quick test_sessions_up;
@@ -242,4 +277,6 @@ let suite =
     Alcotest.test_case "dynamic peering (hybrid)" `Quick test_dynamic_peering_hybrid;
     Alcotest.test_case "dynamic peering guards" `Quick test_dynamic_peering_guards;
     Alcotest.test_case "determinism" `Quick test_determinism;
+    Alcotest.test_case "subscribe_deliver registration" `Quick
+      test_subscribe_deliver_registration;
   ]

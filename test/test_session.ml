@@ -62,13 +62,12 @@ let state_a env = Bgp.Router.session_state env.a (asn 65002)
 
 (* --- The FSM itself ----------------------------------------------------- *)
 
-let test_of_flags () =
-  Alcotest.(check string) "idle" "idle"
-    (Bgp.Session.to_string (Bgp.Session.of_flags ~open_sent:false ~established:false));
-  Alcotest.(check string) "connect" "connect"
-    (Bgp.Session.to_string (Bgp.Session.of_flags ~open_sent:true ~established:false));
-  Alcotest.(check string) "established dominates" "established"
-    (Bgp.Session.to_string (Bgp.Session.of_flags ~open_sent:true ~established:true));
+let test_state_encoding () =
+  Alcotest.(check string) "a fresh session is idle" "idle"
+    (Bgp.Session.to_string (Bgp.Session.state (Bgp.Session.create ())));
+  Alcotest.(check (list string)) "to_string" [ "idle"; "connect"; "established" ]
+    (List.map Bgp.Session.to_string
+       [ Bgp.Session.Idle; Bgp.Session.Connect; Bgp.Session.Established ]);
   (* stable gauge encoding *)
   Alcotest.(check (list int)) "to_int" [ 0; 1; 2 ]
     (List.map Bgp.Session.to_int [ Bgp.Session.Idle; Bgp.Session.Connect; Bgp.Session.Established ])
@@ -193,7 +192,7 @@ let test_same_seed_identical () =
 
 let suite =
   [
-    Alcotest.test_case "of_flags and gauge encoding" `Quick test_of_flags;
+    Alcotest.test_case "state and gauge encoding" `Quick test_state_encoding;
     Alcotest.test_case "idle -> connect -> established" `Quick test_fsm_transitions;
     Alcotest.test_case "hold expiry purges Adj-RIB-In" `Quick test_hold_expiry_purges_adj_in;
     Alcotest.test_case "hold 0 disables liveness" `Quick test_hold_zero_disables_liveness;

@@ -121,6 +121,31 @@ let test_timer_cancel () =
   ignore (Sim.run sim);
   Alcotest.(check int) "cancelled" 0 !fires
 
+(* Wake hooks run in registration order, and registering one costs the
+   same however many are already registered (an append would copy the
+   whole list, ~3 words per hook already there). *)
+let test_on_wake_registration () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  List.iter (fun i -> Sim.on_wake sim (fun () -> log := i :: !log)) [ 1; 2; 3; 4 ];
+  ignore (Sim.schedule_after sim (Time.sec 1) ignore);
+  Alcotest.(check (list int)) "registration order" [ 1; 2; 3; 4 ] (List.rev !log);
+  let f () = () in
+  let words_per_registration n =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      Sim.on_wake sim f
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let first = words_per_registration 1000 in
+  ignore (words_per_registration 20_000);
+  let late = words_per_registration 1000 in
+  Alcotest.(check bool)
+    (Fmt.str "%.2f words per registration (first %.2f) <= 4" late first)
+    true
+    (first <= 4.0 && late <= 4.0)
+
 let suite =
   [
     Alcotest.test_case "FIFO at same instant" `Quick test_fifo_same_instant;
@@ -134,4 +159,5 @@ let suite =
     Alcotest.test_case "timer restart" `Quick test_timer_restart_replaces;
     Alcotest.test_case "timer start_if_idle" `Quick test_timer_start_if_idle_coalesces;
     Alcotest.test_case "timer cancel" `Quick test_timer_cancel;
+    Alcotest.test_case "on_wake registration" `Quick test_on_wake_registration;
   ]

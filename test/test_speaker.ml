@@ -103,6 +103,123 @@ let test_duplicate_session_rejected () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "duplicate session must raise"
 
+(* Keepalive/hold supervision on a speaker session: a neighbour that goes
+   silent after its OPEN is torn down by hold expiry exactly like a
+   router peer (NOTIFICATION out, controller told, Adj-RIB-Out cleared,
+   the expiry counted); a hold of 0 from either side arms nothing. *)
+let liveness = { Bgp.Config.interval = Engine.Time.sec 5; hold_time = Engine.Time.sec 15 }
+
+let liveness_setup ?liveness () =
+  let sim = Engine.Sim.create ~seed:5 () in
+  let wire = ref [] and sessions = ref [] in
+  let speaker =
+    Cluster_ctl.Speaker.create ?liveness ~sim
+      ~send_relay:(fun ~member:_ ~neighbor:_ msg ->
+        wire := msg :: !wire;
+        true)
+      ()
+  in
+  Cluster_ctl.Speaker.set_handlers speaker
+    ~on_update:(fun ~member:_ ~neighbor:_ _ -> ())
+    ~on_session:(fun ~member:_ ~neighbor:_ ~up -> sessions := up :: !sessions);
+  Cluster_ctl.Speaker.add_session speaker ~member ~neighbor ~member_addr:nh;
+  (sim, speaker, wire, sessions)
+
+let open_with hold_time = Bgp.Message.Open { asn = neighbor; router_id = nh; hold_time }
+
+let hold_expirations sim =
+  let snap = Engine.Metrics.snapshot (Engine.Sim.metrics sim) ~at:(Engine.Sim.now sim) in
+  Engine.Metrics.value snap ~labels:[ ("node", "speaker") ] "bgp_hold_expirations_total"
+
+let test_speaker_hold_expiry () =
+  let sim, speaker, wire, sessions = liveness_setup ~liveness () in
+  Cluster_ctl.Speaker.handle_relay speaker ~member ~neighbor (open_with 15);
+  (match !wire with
+  | [ Bgp.Message.Open { hold_time; _ } ] ->
+    Alcotest.(check int) "our hold proposal" 15 hold_time
+  | _ -> Alcotest.fail "expected one OPEN out");
+  Alcotest.(check int) "keepalive and hold timers armed" 2
+    (List.length (Engine.Node.owned_timers (Cluster_ctl.Speaker.node speaker)));
+  let attrs = Bgp.Attrs.make ~as_path:[ member ] ~next_hop:nh () in
+  Cluster_ctl.Speaker.announce speaker ~member ~neighbor (p "9.9.9.0/24") attrs;
+  ignore (Engine.Sim.run ~until:(Engine.Time.sec 14) sim);
+  Alcotest.(check bool) "alive before the hold runs out" true
+    (Cluster_ctl.Speaker.session_established speaker ~member ~neighbor);
+  Alcotest.(check bool) "keepalives sent while silent" true
+    (List.mem Bgp.Message.Keepalive !wire);
+  ignore (Engine.Sim.run ~until:(Engine.Time.sec 16) sim);
+  Alcotest.(check bool) "torn down" false
+    (Cluster_ctl.Speaker.session_established speaker ~member ~neighbor);
+  Alcotest.(check bool) "NOTIFICATION sent" true
+    (List.mem (Bgp.Message.Notification "hold timer expired") !wire);
+  Alcotest.(check (list bool)) "controller told up, then down" [ false; true ] !sessions;
+  Alcotest.(check bool) "adj-out cleared" true
+    (Cluster_ctl.Speaker.advertised speaker ~member ~neighbor (p "9.9.9.0/24") = None);
+  Alcotest.(check (option (float 0.0))) "expiry counted" (Some 1.0) (hold_expirations sim)
+
+let test_speaker_zero_hold_arms_nothing () =
+  List.iter
+    (fun (label, liveness, peer_hold) ->
+      let sim, speaker, wire, _ = liveness_setup ?liveness () in
+      Cluster_ctl.Speaker.handle_relay speaker ~member ~neighbor (open_with peer_hold);
+      Alcotest.(check int) (label ^ ": no timers") 0
+        (List.length (Engine.Node.owned_timers (Cluster_ctl.Speaker.node speaker)));
+      ignore (Engine.Sim.run ~until:(Engine.Time.sec 60) sim);
+      Alcotest.(check bool) (label ^ ": still established") true
+        (Cluster_ctl.Speaker.session_established speaker ~member ~neighbor);
+      Alcotest.(check int) (label ^ ": only the OPEN went out") 1 (List.length !wire))
+    [ ("peer proposes 0", Some liveness, 0); ("liveness off", None, 15) ]
+
+(* Sessions keep configuration order, and adding one costs the same
+   however many are already configured (an append to the order list
+   would copy it, ~3 words per session already there). *)
+let test_add_session_registration () =
+  let speaker, _, _, _ = setup () in
+  let add i =
+    Cluster_ctl.Speaker.add_session speaker ~member:(asn (70_000 + (i mod 7)))
+      ~neighbor:(asn (100_000 + i)) ~member_addr:nh
+  in
+  List.iter add [ 3; 1; 2 ];
+  Alcotest.(check (list (pair int int))) "configuration order"
+    [ (65010, 65001); (70003, 100003); (70001, 100001); (70002, 100002) ]
+    (List.map
+       (fun (m, n) -> (Net.Asn.to_int m, Net.Asn.to_int n))
+       (Cluster_ctl.Speaker.sessions speaker));
+  Alcotest.(check (list int)) "sessions_of in configuration order" [ 100_001 ]
+    (List.map Net.Asn.to_int (Cluster_ctl.Speaker.sessions_of speaker (asn 70_001)));
+  let next = ref 10 in
+  let words_per_registration n =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      add !next;
+      incr next
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let first = words_per_registration 1000 in
+  ignore (words_per_registration 20_000);
+  let late = words_per_registration 1000 in
+  Alcotest.(check bool)
+    (Fmt.str "%.2f words per session (first %.2f) within 8 of the first" late first)
+    true
+    (late <= first +. 8.0)
+
+(* RFC 4271 negotiation: the session runs on the smaller of the two hold
+   proposals, whichever side made it. *)
+let test_speaker_negotiated_hold () =
+  List.iter
+    (fun (peer_hold, expected) ->
+      let sim, speaker, _, _ = liveness_setup ~liveness () in
+      Cluster_ctl.Speaker.handle_relay speaker ~member ~neighbor (open_with peer_hold);
+      let up_at secs =
+        ignore (Engine.Sim.run ~until:(Engine.Time.ms (secs * 1000)) sim);
+        Cluster_ctl.Speaker.session_established speaker ~member ~neighbor
+      in
+      let label = Fmt.str "peer proposes %d" peer_hold in
+      Alcotest.(check bool) (label ^ ": up just before the hold") true (up_at (expected - 1));
+      Alcotest.(check bool) (label ^ ": down just after it") false (up_at (expected + 1)))
+    [ (9, 9); (30, 15) ]
+
 let suite =
   [
     Alcotest.test_case "open handshake + AS identity" `Quick test_open_handshake_preserves_identity;
@@ -112,4 +229,8 @@ let suite =
     Alcotest.test_case "withdraw only if advertised" `Quick test_withdraw_only_if_advertised;
     Alcotest.test_case "session down clears state" `Quick test_session_down_clears_state;
     Alcotest.test_case "duplicate session rejected" `Quick test_duplicate_session_rejected;
+    Alcotest.test_case "hold expiry tears down" `Quick test_speaker_hold_expiry;
+    Alcotest.test_case "zero hold arms no timer" `Quick test_speaker_zero_hold_arms_nothing;
+    Alcotest.test_case "negotiated hold is the smaller" `Quick test_speaker_negotiated_hold;
+    Alcotest.test_case "add_session registration" `Quick test_add_session_registration;
   ]

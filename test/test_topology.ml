@@ -208,6 +208,81 @@ let prop_caida_generate_valid =
       let s = Topology.Caida.generate ~tier1:3 ~tier2:6 ~stubs:10 rng in
       Topology.Spec.is_valid s && Topology.Spec.is_connected s)
 
+(* Spec's indexed lookups against their list-scan definitions, on seeded
+   clique, BA and CAIDA specs (before and after [with_sdn]) and on an
+   invalid spec with a duplicate node, a duplicate link and a self-link. *)
+module Scan = struct
+  module S = Topology.Spec
+
+  let find_node s a = List.find_opt (fun (n : S.node_spec) -> Net.Asn.equal n.asn a) (S.nodes s)
+
+  let links_of s a =
+    List.filter
+      (fun (l : S.link_spec) -> Net.Asn.equal l.a a || Net.Asn.equal l.b a)
+      (S.links s)
+
+  let neighbors s a =
+    List.map (fun (l : S.link_spec) -> if Net.Asn.equal l.a a then l.b else l.a) (links_of s a)
+
+  let link_between s a b =
+    List.find_opt
+      (fun (l : S.link_spec) ->
+        (Net.Asn.equal l.a a && Net.Asn.equal l.b b)
+        || (Net.Asn.equal l.a b && Net.Asn.equal l.b a))
+      (List.rev (S.links s))
+end
+
+let check_spec_index label spec =
+  let module S = Topology.Spec in
+  let asns = S.asns spec in
+  let probes = Net.Asn.of_int 1 :: Net.Asn.of_int 4_000_000 :: asns in
+  let name a = Fmt.str "%s %a" label Net.Asn.pp a in
+  List.iter
+    (fun a ->
+      let check what ok = Alcotest.(check bool) (name a ^ " " ^ what) true ok in
+      check "find_node" (S.find_node spec a = Scan.find_node spec a);
+      Alcotest.(check bool) (name a ^ " mem") (Scan.find_node spec a <> None) (S.mem spec a);
+      (match Scan.find_node spec a with
+      | Some n -> check "role_of" (S.role_of spec a = n.role)
+      | None -> (
+        match S.role_of spec a with
+        | exception Invalid_argument _ -> ()
+        | _ -> Alcotest.fail (name a ^ " role_of must raise")));
+      check "links_of" (S.links_of spec a = Scan.links_of spec a);
+      Alcotest.(check (list int)) (name a ^ " neighbors")
+        (List.map Net.Asn.to_int (Scan.neighbors spec a))
+        (List.map Net.Asn.to_int (S.neighbors spec a));
+      List.iter
+        (fun b ->
+          check "link_between" (S.link_between spec a b = Scan.link_between spec a b))
+        probes)
+    probes
+
+let test_spec_index_differential () =
+  let module S = Topology.Spec in
+  List.iter
+    (fun seed ->
+      let rng = Engine.Rng.create seed in
+      List.iter
+        (fun (label, spec) ->
+          check_spec_index label spec;
+          let sdn = Engine.Rng.sample rng (1 + Engine.Rng.int rng 5) (S.asns spec) in
+          check_spec_index (label ^ "+sdn") (S.with_sdn spec sdn))
+        [
+          ("clique", Topology.Artificial.clique (4 + Engine.Rng.int rng 8));
+          ("ba", Topology.Random_models.barabasi_albert rng ~n:40 ~m:2);
+          ("caida", Topology.Caida.generate ~tier1:3 ~tier2:8 ~stubs:30 rng);
+        ])
+    [ 1; 2; 3; 2014 ];
+  let invalid =
+    S.make ~title:"invalid"
+      ~nodes:[ S.node (asn 0); S.node ~name:"dup" (asn 0); S.node (asn 1); S.node (asn 2) ]
+      ~links:
+        [ S.link (asn 0) (asn 1); S.link ~rel:S.P2p (asn 1) (asn 0); S.link (asn 2) (asn 2);
+          S.link (asn 1) (asn 2) ]
+  in
+  check_spec_index "invalid" invalid
+
 let suite =
   [
     Alcotest.test_case "clique" `Quick test_clique;
@@ -227,4 +302,5 @@ let suite =
     Alcotest.test_case "glp degree tail" `Quick test_glp_heavier_tail_than_ba;
     QCheck_alcotest.to_alcotest prop_waxman_connected;
     QCheck_alcotest.to_alcotest prop_caida_generate_valid;
+    Alcotest.test_case "spec index vs list scan" `Quick test_spec_index_differential;
   ]
