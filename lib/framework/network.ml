@@ -21,6 +21,21 @@ let collector_asn = Net.Asn.of_int 4_200_000_000
 
 type data_stats = { mutable forwarded : int; mutable dropped : int; mutable delivered : int }
 
+(* Where an AS's forwarding state lives. *)
+type fwd_source = Legacy of int Net.Fib.t | Member of Sdn.Flow_table.t
+
+(* The data plane's compile cache, filled by the first snapshot: the
+   dense layout, each AS's live table, and the table compiled from it
+   with the generation it was compiled at. *)
+type dp_cache = {
+  layout : Net.Dataplane.layout;
+  dense_asns : Net.Asn.t array; (* dense index -> AS *)
+  router_addrs : Net.Ipv4.addr array; (* by dense index *)
+  sources : fwd_source array;
+  gens : int array; (* -1: not compiled yet *)
+  tables : Net.Dataplane.table array;
+}
+
 type t = {
   sim : Engine.Sim.t;
   net : Payload.t Net.Netsim.t;
@@ -45,6 +60,7 @@ type t = {
      every per-component RNG stream identical across shards); ownership
      only gates what runs — [start] and link watchers. *)
   owned : int -> bool;
+  mutable dp_cache : dp_cache option;
 }
 
 let sim t = t.sim
@@ -441,6 +457,7 @@ let create ?(config = Config.default) ?(order = Engine.Sim.Seq) ?(owned = fun _ 
       auto_reply = true;
       rel_overrides = Hashtbl.create 8;
       owned;
+      dp_cache = None;
     }
   in
   t_ref := Some t;
@@ -765,74 +782,89 @@ let forwarding_at t asn (addr : Net.Ipv4.addr) =
    delivery sets, link liveness — into a frozen [Net.Dataplane] snapshot
    over dense node indices.  The snapshot mirrors [forwarding_at] plus
    the [link_up] check of the connectivity walker, but reads tables
-   through the non-mutating lookups, so probing it perturbs neither flow
-   packet counters nor miss metrics.  Legacy FIB values (next fabric
-   node ids) are recompiled into dense indices so the hot path never
-   maps ids per hop. *)
+   without the counting lookups, so probing it perturbs neither flow
+   packet counters nor miss metrics.  Legacy FIB values and flow
+   [Output] ports (next fabric node ids) are compiled into dense indices
+   so the hot path never maps ids per hop.
+
+   A node's table is compiled only when its live table's generation
+   moved since the last snapshot; otherwise the new snapshot shares the
+   previous table, which nothing ever writes, so older snapshots stay
+   exact for the state they were taken from.  Local sets and link
+   liveness are cheap and are read afresh every time. *)
+let dp_cache t =
+  match t.dp_cache with
+  | Some c -> c
+  | None ->
+    let dense_asns = Array.of_list (Topology.Spec.asns t.spec) in
+    let sources =
+      Array.map
+        (fun asn ->
+          match Net.Asn.Map.find_opt asn t.switches with
+          | Some sw -> Member (Sdn.Switch.table sw)
+          | None -> Legacy (Net.Asn.Map.find asn t.fibs))
+        dense_asns
+    in
+    let n = Array.length dense_asns in
+    let c =
+      {
+        layout = Net.Dataplane.layout (Array.map Net.Asn.to_int dense_asns);
+        dense_asns;
+        router_addrs = Array.map t.plan.Addressing.router_addr dense_asns;
+        sources;
+        gens = Array.make n (-1);
+        tables = Array.make n Net.Dataplane.no_route;
+      }
+    in
+    t.dp_cache <- Some c;
+    c
+
 let dataplane_snapshot t =
-  let as_list = Topology.Spec.asns t.spec in
-  let asns = Array.of_list (List.map Net.Asn.to_int as_list) in
-  let dp = Net.Dataplane.create ~asns in
-  let idx asn = Net.Dataplane.index_of dp (Net.Asn.to_int asn) in
+  let c = dp_cache t in
+  let dp = Net.Dataplane.create c.layout in
   let code_of_node node =
     match asn_of_node t node with
     | Some next_asn ->
-      let j = idx next_asn in
+      let j = Net.Dataplane.index_of dp (Net.Asn.to_int next_asn) in
       if j >= 0 then j else Net.Dataplane.drop
     | None -> Net.Dataplane.drop
   in
-  List.iter
-    (fun asn ->
-      let i = idx asn in
-      Net.Dataplane.add_local_addr dp i (t.plan.Addressing.router_addr asn);
-      Net.Ipv4.Prefix_set.iter (fun p -> Net.Dataplane.add_local dp i p) !(local_set t asn))
-    as_list;
-  Net.Asn.Map.iter
-    (fun asn fib ->
-      let i = idx asn in
-      let compiled = Net.Fib.create () in
-      Net.Fib.iter fib (fun p next -> Net.Fib.insert compiled p (code_of_node next));
-      Net.Dataplane.set_fib dp i compiled)
-    t.fibs;
-  Net.Asn.Map.iter
-    (fun asn sw ->
-      let i = idx asn in
-      let rules = Array.of_list (Sdn.Flow_table.entries_sorted (Sdn.Switch.table sw)) in
-      let nets =
-        Array.map
-          (fun (r : Sdn.Flow.rule) ->
-            Net.Ipv4.addr_to_bits (Net.Ipv4.prefix_network r.Sdn.Flow.match_prefix))
-          rules
+  let code_of_action = function
+    | Sdn.Flow.Output port -> code_of_node port
+    | Sdn.Flow.Drop | Sdn.Flow.To_controller -> Net.Dataplane.drop
+  in
+  Array.iteri
+    (fun i source ->
+      let gen =
+        match source with
+        | Legacy fib -> Net.Fib.generation fib
+        | Member table -> Sdn.Flow_table.generation table
       in
-      let masks =
-        Array.map
-          (fun (r : Sdn.Flow.rule) ->
-            Net.Ipv4.mask_bits (Net.Ipv4.prefix_len r.Sdn.Flow.match_prefix))
-          rules
-      in
-      let acts =
-        Array.map
-          (fun (r : Sdn.Flow.rule) ->
-            match r.Sdn.Flow.action with
-            | Sdn.Flow.Output port -> code_of_node port
-            | Sdn.Flow.Drop | Sdn.Flow.To_controller -> Net.Dataplane.drop)
-          rules
-      in
-      Net.Dataplane.set_rules dp i ~nets ~masks ~acts)
-    t.switches;
-  List.iter
-    (fun link ->
+      if gen <> c.gens.(i) then begin
+        c.tables.(i) <-
+          (match source with
+          | Legacy fib -> Net.Dataplane.fib_table fib code_of_node
+          | Member table ->
+            Net.Dataplane.rule_table
+              (List.map
+                 (fun (r : Sdn.Flow.rule) ->
+                   (r.Sdn.Flow.match_prefix, code_of_action r.Sdn.Flow.action))
+                 (Sdn.Flow_table.entries_sorted table)));
+        c.gens.(i) <- gen
+      end;
+      Net.Dataplane.set_table dp i c.tables.(i);
+      Net.Dataplane.add_local_addr dp i c.router_addrs.(i);
+      Net.Ipv4.Prefix_set.iter (Net.Dataplane.add_local dp i) !(local_set t c.dense_asns.(i)))
+    c.sources;
+  Net.Netsim.iter_links t.net (fun link ->
       if Net.Link.is_up link then begin
         let a, b = Net.Link.endpoints link in
-        if is_as_node t a && is_as_node t b then begin
-          let i = Net.Dataplane.index_of dp a and j = Net.Dataplane.index_of dp b in
-          if i >= 0 && j >= 0 then begin
-            Net.Dataplane.set_link dp i j true;
-            Net.Dataplane.set_link dp j i true
-          end
+        let i = Net.Dataplane.index_of dp a and j = Net.Dataplane.index_of dp b in
+        if i >= 0 && j >= 0 then begin
+          Net.Dataplane.set_link dp i j true;
+          Net.Dataplane.set_link dp j i true
         end
-      end)
-    (Net.Netsim.links t.net);
+      end);
   dp
 
 (* --- Whole-network checkpointing ---------------------------------------- *)

@@ -181,10 +181,13 @@ val forwarding_at : t -> Net.Asn.t -> Net.Ipv4.addr -> forwarding
 val dataplane_snapshot : t -> Net.Dataplane.t
 (** Compile the composed forwarding state (FIBs + flow tables + local
     delivery sets + link liveness) into a frozen allocation-free
-    fast-path snapshot over dense node indices.  Reads tables through
-    the non-mutating lookups, so probing the snapshot perturbs neither
-    flow packet counters nor miss metrics.  Recompile after the control
-    plane changes. *)
+    fast-path snapshot over dense node indices.  Reads tables without
+    the counting lookups, so probing the snapshot perturbs neither flow
+    packet counters nor miss metrics.  Each call returns a new snapshot
+    of the current state; only the nodes whose FIB or flow table changed
+    since the previous call are recompiled, the rest share their
+    immutable compiled tables, and an earlier snapshot keeps answering
+    for the state it was taken from. *)
 
 (* --- Whole-network checkpointing --- *)
 

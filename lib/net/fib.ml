@@ -8,6 +8,8 @@ let create () = Ipv4.Prefix_trie.create ()
 
 let size = Ipv4.Prefix_trie.size
 
+let generation = Ipv4.Prefix_trie.generation
+
 let insert t prefix value = Ipv4.Prefix_trie.set prefix value t
 
 let find t prefix = Ipv4.Prefix_trie.find prefix t
@@ -17,10 +19,6 @@ let remove t prefix = Ipv4.Prefix_trie.remove prefix t
 let lookup t addr = Ipv4.Prefix_trie.lookup addr t
 
 let lookup_value t addr = Ipv4.Prefix_trie.lookup_value addr t
-
-let lookup_exn t addr = Ipv4.Prefix_trie.lookup_value_exn addr t
-
-let lookup_bits t ~default bits = Ipv4.Prefix_trie.lookup_bits ~default bits t
 
 let entries t = Ipv4.Prefix_trie.entries t
 

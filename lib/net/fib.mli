@@ -1,11 +1,19 @@
 (** Longest-prefix-match forwarding table (binary trie), generic in the
-    entry type. *)
+    entry type.  The live per-packet path looks it up directly; the data
+    plane compiles it into a flat table ({!Dataplane.fib_table}) once per
+    {!generation}. *)
 
 type 'a t
 
 val create : unit -> 'a t
 
 val size : 'a t -> int
+
+val generation : 'a t -> int
+(** Moves on every write that can change the table (see
+    {!Ipv4.Prefix_trie.generation}): {!insert}, {!remove}, {!clear}.  A
+    compiled copy taken at a generation stays exact while the table
+    still reports it. *)
 
 val insert : 'a t -> Ipv4.prefix -> 'a -> unit
 (** Replaces any existing entry for exactly this prefix. *)
@@ -19,14 +27,6 @@ val lookup : 'a t -> Ipv4.addr -> (Ipv4.prefix * 'a) option
 (** Longest-prefix match for an address. *)
 
 val lookup_value : 'a t -> Ipv4.addr -> 'a option
-
-val lookup_exn : 'a t -> Ipv4.addr -> 'a
-(** {!lookup_value} without the per-lookup [option] boxing: a hit
-    allocates nothing.  @raise Not_found when no prefix covers [addr]. *)
-
-val lookup_bits : 'a t -> default:'a -> int -> 'a
-(** Allocation- and exception-free longest-prefix match on
-    {!Ipv4.addr_to_bits} int bits; [default] on a miss. *)
 
 val entries : 'a t -> (Ipv4.prefix * 'a) list
 (** Sorted by prefix. *)

@@ -177,7 +177,13 @@ end
    subtree) visits prefixes in exactly [compare_prefix] ascending order
    (unsigned network, then length), so iteration is a drop-in
    deterministic replacement for [Prefix_map] folds.  Empty branches are
-   pruned on removal so long-lived tables don't accrete dead spines. *)
+   pruned on removal so long-lived tables don't accrete dead spines.
+
+   [generation] moves on every write that can change what the trie
+   holds, so a reader that compiled the trie into another form (the data
+   plane's flat tables) knows, by one int compare, whether its copy is
+   still current.  A [set] that stores the very value already there
+   changes nothing and leaves it alone. *)
 module Prefix_trie = struct
   type 'a node = {
     mutable value : 'a option;
@@ -185,15 +191,17 @@ module Prefix_trie = struct
     mutable one : 'a node option;
   }
 
-  type 'a t = { root : 'a node; mutable size : int }
+  type 'a t = { root : 'a node; mutable size : int; mutable generation : int }
 
   let make_node () = { value = None; zero = None; one = None }
 
-  let create () = { root = make_node (); size = 0 }
+  let create () = { root = make_node (); size = 0; generation = 0 }
 
   let size t = t.size
 
   let is_empty t = t.size = 0
+
+  let generation t = t.generation
 
   (* Address bits as a non-negative int so the walk avoids Int32 boxing. *)
   let bits_of_network (n : int32) = Int32.to_int n land 0xffff_ffff
@@ -217,8 +225,12 @@ module Prefix_trie = struct
     let len = p.len in
     let rec go node i =
       if i = len then begin
-        if Option.is_none node.value then t.size <- t.size + 1;
-        node.value <- Some v
+        match node.value with
+        | Some old when old == v -> ()
+        | old ->
+          if Option.is_none old then t.size <- t.size + 1;
+          node.value <- Some v;
+          t.generation <- t.generation + 1
       end
       else begin
         let child = if bit bits i = 0 then node.zero else node.one in
@@ -232,8 +244,8 @@ module Prefix_trie = struct
     in
     go t.root 0
 
-  (* Returns [true] when the subtree below (and including) [node] became
-     empty, letting the parent drop its link. *)
+  (* After the recursive call, a child left with no value and no children
+     is unlinked from its parent, so emptied branches are pruned. *)
   let remove p t =
     let bits = bits_of_network p.network in
     let len = p.len in
@@ -241,7 +253,8 @@ module Prefix_trie = struct
       if i = len then begin
         if Option.is_some node.value then begin
           t.size <- t.size - 1;
-          node.value <- None
+          node.value <- None;
+          t.generation <- t.generation + 1
         end
       end
       else begin
@@ -273,29 +286,6 @@ module Prefix_trie = struct
     walk t.root 0 None
 
   let lookup_value addr t = Option.map snd (lookup addr t)
-
-  (* Allocation-free longest-prefix match on pre-extracted address bits
-     (see [addr_to_bits]).  The walk carries the best candidate by
-     ALIASING the populated node's own [value] cell — no fresh [Some] is
-     built per hop — and unwraps once at the end. *)
-  (* The hot-path walk is a module-level recursion (not a local [let rec]
-     capturing [bits]) so calls allocate no closure; [best] only aliases
-     option cells already in the trie. *)
-  let rec lookup_walk bits node i best =
-    let best = match node.value with Some _ as s -> s | None -> best in
-    if i = 32 then best
-    else
-      match (if bit bits i = 0 then node.zero else node.one) with
-      | None -> best
-      | Some c -> lookup_walk bits c (i + 1) best
-
-  let lookup_bits ~default bits t =
-    match lookup_walk bits t.root 0 None with Some v -> v | None -> default
-
-  let lookup_value_exn addr t =
-    match lookup_walk (bits_of_network addr) t.root 0 None with
-    | Some v -> v
-    | None -> raise Not_found
 
   (* Pre-order: a node's own value (shorter length) before its zero
      subtree (same network, longer lengths) before its one subtree
@@ -334,7 +324,8 @@ module Prefix_trie = struct
     t.root.value <- None;
     t.root.zero <- None;
     t.root.one <- None;
-    t.size <- 0
+    t.size <- 0;
+    t.generation <- t.generation + 1
 end
 
 (* Exact-match table: a hash table on the packed int key

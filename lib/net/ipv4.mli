@@ -88,9 +88,9 @@ module Allocator : sig
 end
 
 (** Mutable binary trie keyed on prefix bits, with longest-prefix match:
-    the FIB's and the data plane's structure.  Tables that only ever need
-    exact match use {!Prefix_table}.  Iteration order is deterministic:
-    exactly [compare_prefix] ascending, matching [Prefix_map] folds.  Not
+    the FIB's structure.  Tables that only ever need exact match use
+    {!Prefix_table}.  Iteration order is deterministic: exactly
+    [compare_prefix] ascending, matching [Prefix_map] folds.  Not
     domain-safe; each trie is owned by one router/component. *)
 module Prefix_trie : sig
   type 'a t
@@ -101,6 +101,13 @@ module Prefix_trie : sig
   (** O(1). *)
 
   val is_empty : 'a t -> bool
+
+  val generation : 'a t -> int
+  (** A stamp that moves on every write that can change the trie's
+      contents ({!set} of a value not physically equal to the one
+      stored, {!remove} of a present prefix, {!clear}).  Equal stamps
+      from one trie mean equal contents, so a compiled copy of the trie
+      is current while the stamp it was taken at still reads. *)
 
   val find : prefix -> 'a t -> 'a option
   (** Exact-prefix lookup. *)
@@ -115,16 +122,6 @@ module Prefix_trie : sig
   (** Longest-prefix match for an address. *)
 
   val lookup_value : addr -> 'a t -> 'a option
-
-  val lookup_value_exn : addr -> 'a t -> 'a
-  (** Longest-prefix match without the [option]/pair boxing of {!lookup}:
-      the walk aliases populated nodes' own value cells, so a hit
-      allocates nothing.  @raise Not_found on a miss. *)
-
-  val lookup_bits : default:'a -> int -> 'a t -> 'a
-  (** Allocation- and exception-free longest-prefix match on
-      {!Ipv4.addr_to_bits} int bits; [default] on a miss.  The data-plane
-      fast path's lookup. *)
 
   val fold : (prefix -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
   (** Ascending [compare_prefix] order, like [Prefix_map.fold]. *)

@@ -159,6 +159,8 @@ let links t =
   Hashtbl.fold (fun _ l acc -> l :: acc) t.links []
   |> List.sort (fun a b -> Int.compare (Link.id a) (Link.id b))
 
+let iter_links t f = Hashtbl.iter (fun _ l -> f l) t.links
+
 let neighbors t id =
   List.filter_map
     (fun l ->

@@ -71,6 +71,9 @@ val link_between : 'a t -> int -> int -> Link.t option
 val links : 'a t -> Link.t list
 (** Sorted by link id. *)
 
+val iter_links : 'a t -> (Link.t -> unit) -> unit
+(** Every link, in no particular order, without building a list. *)
+
 val neighbors : 'a t -> int -> int list
 
 val set_link_up : 'a t -> Link.t -> bool -> unit

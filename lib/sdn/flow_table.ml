@@ -7,10 +7,15 @@
    match — the winner by construction — instead of filtering the whole
    table and folding for the best.  Install/delete (control plane, rare)
    rebuild the array; occupancy is [Array.length], O(1), so the metrics
-   gauge no longer walks the table on every collect. *)
+   gauge no longer walks the table on every collect.
+
+   [generation] moves on every write to [rules], the in-place same-match
+   replacement included, so the data plane recompiles a switch's table
+   only when it moved. *)
 
 type t = {
   mutable rules : Flow.rule array; (* sorted by [order] *)
+  mutable generation : int;
   mutable misses : int;
   misses_c : Engine.Metrics.Counter.t option;
 }
@@ -39,7 +44,7 @@ let create ?metrics ?(labels = []) () =
           "sdn_flow_table_misses_total")
       metrics
   in
-  let t = { rules = [||]; misses = 0; misses_c } in
+  let t = { rules = [||]; generation = 0; misses = 0; misses_c } in
   Option.iter
     (fun m ->
       let g =
@@ -56,6 +61,8 @@ let size t = Array.length t.rules
 
 let misses t = t.misses
 
+let generation t = t.generation
+
 (* First index whose rule sorts at-or-after [rule]; [Array.length] when
    every rule sorts before it. *)
 let insertion_point t rule =
@@ -69,18 +76,24 @@ let insertion_point t rule =
 let add t rule =
   (* Add-or-replace on the (match, priority) key. *)
   let i = insertion_point t rule in
-  if i < Array.length t.rules && Flow.same_match t.rules.(i) rule then t.rules.(i) <- rule
+  if i < Array.length t.rules && Flow.same_match t.rules.(i) rule then begin
+    t.rules.(i) <- rule;
+    t.generation <- t.generation + 1
+  end
   else begin
     let n = Array.length t.rules in
     let rules = Array.make (n + 1) rule in
     Array.blit t.rules 0 rules 0 i;
     Array.blit t.rules i rules (i + 1) (n - i);
-    t.rules <- rules
+    t.rules <- rules;
+    t.generation <- t.generation + 1
   end
 
 let filter_rules t keep =
-  if not (Array.for_all keep t.rules) then
-    t.rules <- Array.of_list (List.filter keep (Array.to_list t.rules))
+  if not (Array.for_all keep t.rules) then begin
+    t.rules <- Array.of_list (List.filter keep (Array.to_list t.rules));
+    t.generation <- t.generation + 1
+  end
 
 let delete t ~match_prefix =
   filter_rules t (fun r -> not (Net.Ipv4.equal_prefix r.Flow.match_prefix match_prefix))
@@ -97,7 +110,9 @@ let remove_physical t rule =
 
 let mem_physical t rule = Array.exists (fun r -> r == rule) t.rules
 
-let clear t = t.rules <- [||]
+let clear t =
+  t.rules <- [||];
+  t.generation <- t.generation + 1
 
 let lookup t addr =
   (* Sorted by (priority desc, length desc): the first match is the

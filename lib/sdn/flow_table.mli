@@ -1,4 +1,6 @@
-(** A switch's flow table: highest priority wins, then longest prefix. *)
+(** A switch's flow table: highest priority wins, then longest prefix.
+    The live per-packet path scans it; the data plane compiles it
+    ({!Net.Dataplane.rule_table}) once per {!generation}. *)
 
 type t
 
@@ -13,6 +15,13 @@ val size : t -> int
 
 val misses : t -> int
 (** Lookups that matched no rule. *)
+
+val generation : t -> int
+(** Moves on every change to the installed rules: {!add} (a same-match
+    replacement in place included), {!delete}, {!delete_exact} and
+    {!remove_physical} when they remove a rule, and {!clear}.  A
+    compiled copy taken at a generation stays exact while the table
+    still reports it.  Lookups never move it. *)
 
 val add : t -> Flow.rule -> unit
 (** Add-or-replace on the (match, priority) key. *)
@@ -39,9 +48,10 @@ val lookup_idx : t -> int -> int
     {!nth_rule}) of the winning rule for an address given as
     {!Net.Ipv4.addr_to_bits} int bits, or [-1] on a miss.  Unlike
     {!lookup} it allocates nothing and mutates nothing — no [option]
-    boxing, no packet/miss counters — so read-only consumers (the static
-    forwarding verifier, the data-plane fast path) can use it without
-    perturbing table state. *)
+    boxing, no packet/miss counters — so read-only consumers (a
+    benchmark timing the switch layer) can use it without perturbing
+    table state.  The data plane does not scan: it compiles the table
+    ({!Net.Dataplane.rule_table}). *)
 
 val nth_rule : t -> int -> Flow.rule
 (** The rule at a {!lookup_idx} index.  @raise Invalid_argument when out

@@ -15,15 +15,19 @@ let prefix s = Option.get (Net.Ipv4.prefix_of_string s)
 
 let fate = Alcotest.testable Net.Dataplane.pp_fate ( = )
 
+let snapshot asns = Net.Dataplane.create (Net.Dataplane.layout asns)
+
+(* A node whose FIB holds [(prefix, next index)] entries. *)
+let set_fib dp i entries =
+  let fib = Net.Fib.create () in
+  List.iter (fun (p, next) -> Net.Fib.insert fib (prefix p) next) entries;
+  Net.Dataplane.set_table dp i (Net.Dataplane.fib_table fib Fun.id)
+
 (* A hand-built 3-node chain 0 -> 1 -> 2 with 10.0.2.0/24 local at node 2. *)
 let chain () =
-  let dp = Net.Dataplane.create ~asns:[| 100; 101; 102 |] in
-  let fib01 = Net.Fib.create () in
-  Net.Fib.insert fib01 (prefix "10.0.2.0/24") 1;
-  Net.Dataplane.set_fib dp 0 fib01;
-  let fib12 = Net.Fib.create () in
-  Net.Fib.insert fib12 (prefix "10.0.2.0/24") 2;
-  Net.Dataplane.set_fib dp 1 fib12;
+  let dp = snapshot [| 100; 101; 102 |] in
+  set_fib dp 0 [ ("10.0.2.0/24", 1) ];
+  set_fib dp 1 [ ("10.0.2.0/24", 2) ];
   Net.Dataplane.add_local dp 2 (prefix "10.0.2.0/24");
   Net.Dataplane.set_link dp 0 1 true;
   Net.Dataplane.set_link dp 1 2 true;
@@ -53,13 +57,9 @@ let test_unit_blackhole () =
 
 let test_unit_loop_and_ttl () =
   (* 0 and 1 point at each other: revisit = loop whatever the TTL *)
-  let dp = Net.Dataplane.create ~asns:[| 200; 201 |] in
-  let fib0 = Net.Fib.create () in
-  Net.Fib.insert fib0 (prefix "10.9.0.0/16") 1;
-  Net.Dataplane.set_fib dp 0 fib0;
-  let fib1 = Net.Fib.create () in
-  Net.Fib.insert fib1 (prefix "10.9.0.0/16") 0;
-  Net.Dataplane.set_fib dp 1 fib1;
+  let dp = snapshot [| 200; 201 |] in
+  set_fib dp 0 [ ("10.9.0.0/16", 1) ];
+  set_fib dp 1 [ ("10.9.0.0/16", 0) ];
   Net.Dataplane.set_link dp 0 1 true;
   Net.Dataplane.set_link dp 1 0 true;
   let r = Net.Dataplane.forward dp ~src:0 ~dst_bits:(addr_bits 10 9 1 1) ~ttl:64 in
@@ -71,12 +71,12 @@ let test_unit_loop_and_ttl () =
 
 let test_unit_rules_first_match () =
   (* SDN rule tables are first-match in table order, not LPM *)
-  let dp = Net.Dataplane.create ~asns:[| 300; 301; 302 |] in
-  let wide_net = addr_bits 10 0 0 0 and wide_mask = Net.Ipv4.mask_bits 8 in
-  let narrow_net = addr_bits 10 0 2 0 and narrow_mask = Net.Ipv4.mask_bits 24 in
+  let dp = snapshot [| 300; 301; 302 |] in
+  let wide = prefix "10.0.0.0/8" and narrow = prefix "10.0.2.0/24" in
   (* the wide rule sits first, so it wins even against the narrow match *)
-  Net.Dataplane.set_rules dp 0 ~nets:[| wide_net; narrow_net |]
-    ~masks:[| wide_mask; narrow_mask |] ~acts:[| 1; 2 |];
+  let table = Net.Dataplane.rule_table [ (wide, 1); (narrow, 2) ] in
+  Alcotest.(check bool) "kept as a scan" false (Net.Dataplane.is_flat table);
+  Net.Dataplane.set_table dp 0 table;
   Net.Dataplane.add_local dp 1 (prefix "10.0.0.0/8");
   Net.Dataplane.add_local dp 2 (prefix "10.0.2.0/24");
   Net.Dataplane.set_link dp 0 1 true;
@@ -85,8 +85,7 @@ let test_unit_rules_first_match () =
   Alcotest.check fate "delivered" Net.Dataplane.Delivered (Net.Dataplane.result_fate r);
   Alcotest.(check (array int)) "took the first rule" [| 0; 1 |] (Net.Dataplane.last_path dp);
   (* a Drop action (code -1) black-holes *)
-  Net.Dataplane.set_rules dp 0 ~nets:[| wide_net |] ~masks:[| wide_mask |]
-    ~acts:[| Net.Dataplane.drop |];
+  Net.Dataplane.set_table dp 0 (Net.Dataplane.rule_table [ (wide, Net.Dataplane.drop) ]);
   let r = Net.Dataplane.forward dp ~src:0 ~dst_bits:(addr_bits 10 0 2 9) ~ttl:4 in
   Alcotest.check fate "drop rule" Net.Dataplane.Blackholed (Net.Dataplane.result_fate r)
 
@@ -106,6 +105,127 @@ let test_decr_ttl_edges () =
   let r = Net.Dataplane.forward dp ~src:0 ~dst_bits:(addr_bits 10 0 2 7) ~ttl:1 in
   Alcotest.check fate "two links need ttl 2" Net.Dataplane.Ttl_expired
     (Net.Dataplane.result_fate r)
+
+(* --- Compiled tables against the simple paths ----------------------------- *)
+
+let gen_bits =
+  QCheck.Gen.(map2 (fun hi lo -> (hi lsl 16) lor lo) (int_bound 0xffff) (int_bound 0xffff))
+
+let prefix_of_bits bits len = Net.Ipv4.prefix (Net.Ipv4.addr_of_bits bits) len
+
+let net_bits p = Net.Ipv4.addr_to_bits (Net.Ipv4.prefix_network p)
+
+(* Addresses at and around each prefix's edges, plus one inside it: the
+   cases where a wrong mask or a wrong length order shows. *)
+let probes_for prefixes extra =
+  List.concat_map
+    (fun (p, inside) ->
+      let lo = net_bits p and span = 1 lsl (32 - Net.Ipv4.prefix_len p) in
+      let hi = lo + span - 1 in
+      List.filter
+        (fun b -> b >= 0 && b <= 0xffff_ffff)
+        [ lo; hi; lo - 1; hi + 1; lo + (inside mod span) ])
+    prefixes
+  @ extra
+
+(* Entry sets with lengths 0-32: the default route, host routes, a chain
+   of nested prefixes of one network, networks at or above 128.0.0.0,
+   and random prefixes. *)
+let gen_fib_case =
+  QCheck.Gen.(
+    let* default = bool in
+    let* base = gen_bits in
+    let* nested = list_size (int_range 0 8) (int_range 0 32) in
+    let* hosts = list_size (int_range 0 4) gen_bits in
+    let* high = list_size (int_range 0 4) (pair gen_bits (int_range 1 32)) in
+    let* random = list_size (int_range 0 24) (pair gen_bits (int_range 0 32)) in
+    let prefixes =
+      (if default then [ prefix "0.0.0.0/0" ] else [])
+      @ List.map (prefix_of_bits base) nested
+      @ List.map (fun b -> prefix_of_bits b 32) hosts
+      @ List.map (fun (b, len) -> prefix_of_bits (b lor 0x8000_0000) len) high
+      @ List.map (fun (b, len) -> prefix_of_bits b len) random
+    in
+    let* insides = list_repeat (List.length prefixes) gen_bits in
+    let* extra = list_size (int_range 0 16) gen_bits in
+    return (prefixes, probes_for (List.combine prefixes insides) extra))
+
+(* Values map to action codes with every fifth dropped, so a drop entry
+   must still shadow shorter prefixes. *)
+let code v = if v mod 5 = 0 then Net.Dataplane.drop else v
+
+let prop_fib_table_matches_trie =
+  QCheck.Test.make ~name:"flat table = Fib.lookup_value on its trie" ~count:400
+    (QCheck.make
+       ~print:(fun (ps, _) -> Fmt.str "%a" Fmt.(list ~sep:sp Net.Ipv4.pp_prefix) ps)
+       gen_fib_case)
+    (fun (prefixes, probes) ->
+      let fib = Net.Fib.create () in
+      List.iteri (fun i p -> Net.Fib.insert fib p (i + 1)) prefixes;
+      let table = Net.Dataplane.fib_table fib code in
+      Net.Dataplane.is_flat table
+      && List.for_all
+           (fun bits ->
+             let want =
+               match Net.Fib.lookup_value fib (Net.Ipv4.addr_of_bits bits) with
+               | Some v -> code v
+               | None -> Net.Dataplane.drop
+             in
+             Net.Dataplane.lookup table bits = want)
+           probes)
+
+let rec lengths_non_increasing = function
+  | (p, _) :: ((q, _) :: _ as rest) ->
+    Net.Ipv4.prefix_len p >= Net.Ipv4.prefix_len q && lengths_non_increasing rest
+  | _ -> true
+
+(* Rule lists over a small pool of overlapping prefixes, so one prefix
+   often appears at two priorities.  Monotone cases are sorted by length,
+   longest first (priority = length, as the framework installs); the
+   others lead with a short rule before a longer one, the fallback. *)
+let gen_rule_case =
+  QCheck.Gen.(
+    let* base = gen_bits in
+    let* pool =
+      list_size (int_range 2 8)
+        (let* nested = bool in
+         let* bits = gen_bits in
+         let* len = int_range 0 32 in
+         return (prefix_of_bits (if nested then base else bits) len))
+    in
+    let* rules = list_size (int_range 0 20) (pair (oneofl pool) (int_range (-1) 9)) in
+    let* monotone = bool in
+    let* short = int_range 0 16 and* long = int_range 17 32 in
+    let rules =
+      if monotone then
+        List.stable_sort
+          (fun (p, _) (q, _) -> Int.compare (Net.Ipv4.prefix_len q) (Net.Ipv4.prefix_len p))
+          rules
+      else (prefix_of_bits base short, 1) :: (prefix_of_bits base long, 2) :: rules
+    in
+    let* insides = list_repeat (List.length pool) gen_bits in
+    let* extra = list_size (int_range 0 16) gen_bits in
+    return (rules, probes_for (List.combine pool insides) extra))
+
+let prop_rule_table_matches_scan =
+  QCheck.Test.make ~name:"compiled rule table = first-match scan" ~count:400
+    (QCheck.make
+       ~print:(fun (rs, _) ->
+         Fmt.str "%a" Fmt.(list ~sep:sp (pair ~sep:(any "->") Net.Ipv4.pp_prefix int)) rs)
+       gen_rule_case)
+    (fun (rules, probes) ->
+      let table = Net.Dataplane.rule_table rules in
+      Net.Dataplane.is_flat table = lengths_non_increasing rules
+      && List.for_all
+           (fun bits ->
+             let addr = Net.Ipv4.addr_of_bits bits in
+             let want =
+               match List.find_opt (fun (p, _) -> Net.Ipv4.mem addr p) rules with
+               | Some (_, act) -> act
+               | None -> Net.Dataplane.drop
+             in
+             Net.Dataplane.lookup table bits = want)
+           probes)
 
 (* --- Differential: snapshot vs live walker over real networks ----------- *)
 
@@ -196,6 +316,149 @@ let test_differential_withdrawal_and_recovery () =
   let report = Framework.Fwd_verify.verify ~dsts:[ asn 1 ] net in
   Alcotest.(check int) "withdrawn prefix unreachable" 3
     report.Framework.Fwd_verify.blackholed
+
+(* --- Snapshots through the compile cache ---------------------------------- *)
+
+let origin_prefix net a = (Framework.Network.plan net).Framework.Addressing.origin_prefix a
+
+let hybrid_clique () =
+  let spec = Topology.Spec.with_sdn (Topology.Artificial.clique 5) [ asn 3; asn 4 ] in
+  let net = build ~spec () in
+  originate net (asn 0);
+  originate net (asn 1);
+  net
+
+(* Every (src, dst) fate of a snapshot, spec order. *)
+let fates net dp =
+  let plan = Framework.Network.plan net in
+  let asns = Topology.Spec.asns (Framework.Network.spec net) in
+  List.concat_map
+    (fun src ->
+      let si = Net.Dataplane.index_of dp (Net.Asn.to_int src) in
+      List.map
+        (fun dst ->
+          let dst_bits = Net.Ipv4.addr_to_bits (plan.Framework.Addressing.host_addr dst) in
+          Net.Dataplane.result_fate (Net.Dataplane.forward dp ~src:si ~dst_bits ~ttl:64))
+        asns)
+    asns
+
+let test_old_snapshot_stays_frozen () =
+  let net = hybrid_clique () in
+  let old = Framework.Network.dataplane_snapshot net in
+  let old_fates = fates net old in
+  Framework.Network.withdraw net (asn 1) (origin_prefix net (asn 1));
+  ignore (Framework.Network.settle net);
+  Alcotest.(check (list fate)) "old snapshot after the withdrawal" old_fates (fates net old);
+  let newer = Framework.Network.dataplane_snapshot net in
+  Alcotest.(check bool) "the newer snapshot sees the withdrawal" false
+    (fates net newer = old_fates);
+  Alcotest.(check (list fate)) "old snapshot after a newer one" old_fates (fates net old)
+
+(* Per-hop differential: in a fresh snapshot, every AS's first hop
+   toward every destination (a one-hop walk) is the live
+   [Network.forwarding_at] decision over a usable link.  Stricter than
+   comparing fates, which a stale entry can leave unchanged. *)
+let check_first_hops name net =
+  let dp = Framework.Network.dataplane_snapshot net in
+  let plan = Framework.Network.plan net in
+  let asns = Topology.Spec.asns (Framework.Network.spec net) in
+  let show = function `Local -> "local" | `Drop -> "drop" | `Next n -> string_of_int n in
+  List.iter
+    (fun src ->
+      List.iter
+        (fun dst ->
+          let addr = plan.Framework.Addressing.host_addr dst in
+          let r =
+            Net.Dataplane.forward dp
+              ~src:(Net.Dataplane.index_of dp (Net.Asn.to_int src))
+              ~dst_bits:(Net.Ipv4.addr_to_bits addr) ~ttl:1
+          in
+          let got =
+            match (Net.Dataplane.result_hops r, Net.Dataplane.result_fate r) with
+            | 0, Net.Dataplane.Delivered -> `Local
+            | 0, _ -> `Drop
+            | _ -> `Next (Net.Dataplane.asn_at dp (Net.Dataplane.last_path dp).(1))
+          in
+          let want =
+            match Framework.Network.forwarding_at net src addr with
+            | Framework.Network.Local -> `Local
+            | Framework.Network.Next node
+              when List.exists (fun a -> Net.Asn.to_int a = node) asns
+                   && Framework.Network.link_up net src (Net.Asn.of_int node) ->
+              `Next node
+            | Framework.Network.Next _ | Framework.Network.No_route -> `Drop
+          in
+          if got <> want then
+            Alcotest.failf "%s: %a toward %a: snapshot %s, live %s" name Net.Asn.pp src
+              Net.Asn.pp dst (show got) (show want))
+        asns)
+    asns
+
+(* Each writer of a FIB or flow table, one after another on one network.
+   Control-plane steps run one event at a time with a snapshot after
+   each, so a write the cache misses cannot hide behind a later write to
+   the same table; every snapshot taken through the cache must agree
+   with the live state. *)
+let test_cache_follows_every_writer () =
+  let net = hybrid_clique () in
+  check_agreement "settled" net;
+  let step name net f =
+    f ();
+    let sim = Framework.Network.sim net in
+    while Engine.Sim.step sim do
+      check_first_hops name net
+    done;
+    check_first_hops name net;
+    check_agreement name net
+  in
+  step "withdrawal" net (fun () ->
+      Framework.Network.withdraw net (asn 1) (origin_prefix net (asn 1)));
+  step "link failure" net (fun () -> Framework.Network.fail_link net (asn 0) (asn 3));
+  step "link recovery" net (fun () -> Framework.Network.recover_link net (asn 0) (asn 3));
+  step "router crash" net (fun () -> Framework.Network.crash_node net (asn 2));
+  step "router restart" net (fun () -> Framework.Network.restart_node net (asn 2));
+  step "switch crash" net (fun () -> Framework.Network.crash_node net (asn 4));
+  step "switch restart" net (fun () -> Framework.Network.restart_node net (asn 4));
+  step "same-match flow rewrite" net (fun () ->
+      let table = Sdn.Switch.table (Option.get (Framework.Network.switch net (asn 3))) in
+      let r = Option.get (Sdn.Flow_table.find table ~match_prefix:(origin_prefix net (asn 0))) in
+      let before = Sdn.Flow_table.size table in
+      Sdn.Flow_table.add table { r with Sdn.Flow.action = Sdn.Flow.Drop };
+      Alcotest.(check int) "replaced in place" before (Sdn.Flow_table.size table));
+  let restored = Framework.Network.restore (Framework.Network.checkpoint net) in
+  check_agreement "restored" restored;
+  step "withdrawal after restore" restored (fun () ->
+      Framework.Network.withdraw restored (asn 0) (origin_prefix restored (asn 0)))
+
+(* A snapshot with no control-plane change since the previous one
+   recompiles nothing: it costs its local sets, link liveness and walk
+   scratch only. *)
+let test_unchanged_snapshot_reuses_tables () =
+  let spec =
+    Topology.Caida.generate ~tier1:2 ~tier2:6 ~stubs:22 (Engine.Rng.create 61)
+  in
+  let degree a = List.length (Topology.Spec.neighbors spec a) in
+  let top =
+    List.stable_sort (fun a b -> Int.compare (degree b) (degree a)) (Topology.Spec.asns spec)
+  in
+  let spec = Topology.Spec.with_sdn spec (List.filteri (fun i _ -> i < 4) top) in
+  let net = build ~spec () in
+  List.iter
+    (fun a -> Framework.Network.originate net a (origin_prefix net a))
+    (Topology.Spec.asns spec);
+  ignore (Framework.Network.settle net);
+  let words () =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Framework.Network.dataplane_snapshot net));
+    Gc.minor_words () -. w0
+  in
+  let first = words () in
+  let second = words () in
+  Alcotest.(check bool)
+    (Fmt.str "second snapshot %.0f minor words, first %.0f" second first)
+    true
+    (second < first /. 10.0);
+  check_agreement "reused tables" net
 
 (* --- Traffic generation -------------------------------------------------- *)
 
@@ -317,6 +580,8 @@ let suite =
     Alcotest.test_case "unit: loop vs ttl death" `Quick test_unit_loop_and_ttl;
     Alcotest.test_case "unit: rule tables are first-match" `Quick test_unit_rules_first_match;
     Alcotest.test_case "packet decr_ttl edges" `Quick test_decr_ttl_edges;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 19 |]) prop_fib_table_matches_trie;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 19 |]) prop_rule_table_matches_scan;
     Alcotest.test_case "differential: settled clique" `Quick test_differential_clique;
     Alcotest.test_case "differential: blackholes on a cut line" `Quick
       test_differential_blackhole;
@@ -325,6 +590,12 @@ let suite =
       test_differential_sdn_fallback;
     Alcotest.test_case "differential: withdrawal" `Quick
       test_differential_withdrawal_and_recovery;
+    Alcotest.test_case "snapshot cache: old snapshots stay frozen" `Quick
+      test_old_snapshot_stays_frozen;
+    Alcotest.test_case "snapshot cache: follows every writer" `Quick
+      test_cache_follows_every_writer;
+    Alcotest.test_case "snapshot cache: unchanged state reuses tables" `Quick
+      test_unchanged_snapshot_reuses_tables;
     Alcotest.test_case "trafficgen: seeded determinism" `Quick test_trafficgen_deterministic;
     Alcotest.test_case "trafficgen: labelled drop counters" `Quick test_trafficgen_counters;
     Alcotest.test_case "trafficgen: fate census = verifier census" `Quick

@@ -61,6 +61,29 @@ let test_clear () =
   Alcotest.(check int) "cleared" 0 (Fib.size fib);
   Alcotest.(check (option int)) "empty lookup" None (Fib.lookup_value fib (a "10.0.0.1"))
 
+(* Compiled copies of a FIB are reused while its generation holds, so
+   every write that can change an entry must move it. *)
+let test_generation_moves_on_every_write () =
+  let fib = Fib.create () in
+  let moved what f =
+    let g = Fib.generation fib in
+    f ();
+    Alcotest.(check bool) (what ^ " moves the generation") true (Fib.generation fib <> g)
+  in
+  let kept what f =
+    let g = Fib.generation fib in
+    f ();
+    Alcotest.(check int) (what ^ " keeps the generation") g (Fib.generation fib)
+  in
+  moved "insert" (fun () -> Fib.insert fib (p "10.0.0.0/8") 1);
+  moved "replacing insert" (fun () -> Fib.insert fib (p "10.0.0.0/8") 2);
+  kept "insert of the stored value" (fun () -> Fib.insert fib (p "10.0.0.0/8") 2);
+  kept "lookup" (fun () -> ignore (Fib.lookup_value fib (a "10.0.0.1")));
+  moved "remove" (fun () -> Fib.remove fib (p "10.0.0.0/8"));
+  kept "remove of an absent prefix" (fun () -> Fib.remove fib (p "10.0.0.0/8"));
+  Fib.insert fib (p "10.0.0.0/8") 1;
+  moved "clear" (fun () -> Fib.clear fib)
+
 (* Reference LPM: linear scan over all entries. *)
 let reference_lookup entries addr =
   List.fold_left
@@ -119,5 +142,7 @@ let suite =
     Alcotest.test_case "exact find" `Quick test_exact_find;
     Alcotest.test_case "entries sorted" `Quick test_entries_sorted;
     Alcotest.test_case "clear" `Quick test_clear;
+    Alcotest.test_case "generation moves on every write" `Quick
+      test_generation_moves_on_every_write;
     QCheck_alcotest.to_alcotest prop_lpm_matches_reference;
   ]

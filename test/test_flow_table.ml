@@ -67,6 +67,39 @@ let test_drop_and_controller_actions () =
   | Some { Flow.action = Flow.To_controller; _ } -> ()
   | _ -> Alcotest.fail "controller rule"
 
+(* The data plane recompiles a table only when its generation moved, so
+   every write to the rules must move it — the in-place same-match
+   replacement and each removal path included — and lookups must not. *)
+let test_generation_moves_on_every_write () =
+  let t = Flow_table.create () in
+  let moved what f =
+    let g = Flow_table.generation t in
+    f ();
+    Alcotest.(check bool) (what ^ " moves the generation") true (Flow_table.generation t <> g)
+  in
+  let kept what f =
+    let g = Flow_table.generation t in
+    f ();
+    Alcotest.(check int) (what ^ " keeps the generation") g (Flow_table.generation t)
+  in
+  let r10 = rule ~priority:8 "10.0.0.0/8" (Flow.Output 1) in
+  moved "add" (fun () -> Flow_table.add t r10);
+  moved "same-match add" (fun () ->
+      Flow_table.add t (rule ~priority:8 "10.0.0.0/8" (Flow.Output 2)));
+  kept "lookup" (fun () -> ignore (Flow_table.lookup t (a "10.0.0.1")));
+  kept "lookup_idx" (fun () -> ignore (Flow_table.lookup_idx t 0));
+  moved "delete" (fun () -> Flow_table.delete t ~match_prefix:(p "10.0.0.0/8"));
+  kept "delete of an absent prefix" (fun () -> Flow_table.delete t ~match_prefix:(p "10.0.0.0/8"));
+  let r11 = rule ~priority:8 "11.0.0.0/8" Flow.Drop in
+  Flow_table.add t r11;
+  moved "delete_exact" (fun () -> Flow_table.delete_exact t r11);
+  Flow_table.add t r11;
+  kept "remove_physical of another record" (fun () ->
+      ignore (Flow_table.remove_physical t (rule ~priority:8 "11.0.0.0/8" Flow.Drop)));
+  moved "remove_physical" (fun () -> ignore (Flow_table.remove_physical t r11));
+  Flow_table.add t r10;
+  moved "clear" (fun () -> Flow_table.clear t)
+
 (* Reference check: table lookup equals max over matching rules by
    (priority, prefix length). *)
 let prop_lookup_matches_reference =
@@ -120,5 +153,7 @@ let suite =
     Alcotest.test_case "add replaces same key" `Quick test_add_replaces_same_key;
     Alcotest.test_case "delete by prefix" `Quick test_delete;
     Alcotest.test_case "drop and controller actions" `Quick test_drop_and_controller_actions;
+    Alcotest.test_case "generation moves on every write" `Quick
+      test_generation_moves_on_every_write;
     QCheck_alcotest.to_alcotest prop_lookup_matches_reference;
   ]
