@@ -1,13 +1,11 @@
-(* Chaos driver: the `@chaos-smoke` alias runs the failure drill (crash
-   the cluster head mid-run, verify graceful degradation onto the legacy
-   fallback, restart, verify resync), and the `@chaos-campaign` alias
-   runs a seeded randomized-fault campaign through the invariant oracle.
-   Exits non-zero on the first violated assertion.
+(* Chaos drill, run by the `@chaos-smoke` alias: crash the cluster head
+   mid-run, verify graceful degradation onto the legacy fallback,
+   restart, verify resync.  Exits non-zero on the first violated
+   assertion.  (Seeded randomized-fault campaigns are `hybridsim chaos`.)
 
    Usage:
      main.exe                 # drill with fallback, then without
-     main.exe --no-fallback   # blackhole variant only
-     main.exe campaign [RUNS] [SEED] [--no-fallback]                  *)
+     main.exe --no-fallback   # blackhole variant only                 *)
 
 let fail fmt = Fmt.kstr (fun s -> prerr_endline ("chaos: FAIL: " ^ s); exit 1) fmt
 
@@ -139,29 +137,9 @@ let drill ~fallback () =
   end;
   Fmt.pr "chaos: drill ok (fallback=%b)@." fallback
 
-let campaign ~fallback ~runs ~seed () =
-  let report = Framework.Chaos.run_campaign ~fallback ~seed ~runs () in
-  print_string (Framework.Chaos.render_report report);
-  let violating =
-    List.filter
-      (fun r -> r.Framework.Chaos.violations <> [] || not r.Framework.Chaos.quiesced)
-      report.Framework.Chaos.results
-  in
-  if violating <> [] then
-    fail "%d/%d schedules violated an invariant" (List.length violating) runs;
-  Fmt.pr "chaos: campaign ok (%d runs, seed %d)@." runs seed
-
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let fallback = not (List.mem "--no-fallback" args) in
-  match List.filter (fun a -> a <> "--no-fallback") args with
-  | "campaign" :: rest ->
-    let ints = List.filter_map int_of_string_opt rest in
-    let runs = match ints with r :: _ -> r | [] -> 25 in
-    let seed = match ints with _ :: s :: _ -> s | _ -> 2014 in
-    campaign ~fallback ~runs ~seed ()
-  | _ ->
-    drill ~fallback ();
-    if fallback then drill ~fallback:false ();
-    print_endline
-      "chaos-smoke: head crash degraded gracefully, resync reconverged, export clean"
+  drill ~fallback ();
+  if fallback then drill ~fallback:false ();
+  print_endline "chaos-smoke: head crash degraded gracefully, resync reconverged, export clean"

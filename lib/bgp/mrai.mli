@@ -1,54 +1,62 @@
-(** Per-peer outbound update scheduling under the
-    MinRouteAdvertisementInterval: first change sends immediately and arms
-    the timer; further changes coalesce until expiry; explicit withdrawals
-    bypass the timer unless configured otherwise. *)
+(** The outbound UPDATE queue of one BGP session — a router peer or a
+    cluster-speaker session; the only place either packs or paces its
+    route changes.
 
-type pending = Announce of Attrs.t | Withdraw
+    Every queue belongs to its owner's {!batch}: changes enqueued inside
+    a {!with_batch} scope leave as one packed UPDATE per queue when the
+    outermost scope closes, queues in ascending rank; outside a scope a
+    change leaves at once.  A queue created with [pace] also runs the
+    MinRouteAdvertisementInterval: the first change after an idle period
+    sends immediately and arms the timer; further changes coalesce until
+    expiry; explicit withdrawals bypass the timer unless configured
+    otherwise.  A queue without [pace] only packs (the cluster speaker's
+    default: ExaBGP relays what the controller hands it at once). *)
+
+type batch
+(** One owner's batch scope: a depth and the queues it has to flush. *)
+
+val batch : unit -> batch
+
+val with_batch : batch -> (unit -> 'a) -> 'a
+(** Run [f] in a batching scope.  Scopes nest; when the outermost one
+    closes, every queue dirtied inside it flushes once, in ascending
+    rank.  While a paced queue's timer runs only its exempt withdrawals
+    go out (pending changes stay for timer expiry), and its timer arms
+    only when throttle-subject changes were flushed. *)
+
+type pace = {
+  sim : Engine.Sim.t;
+  rng : Engine.Rng.t;  (** the queue's own jitter stream *)
+  config : Config.t;
+  name : string;  (** of the MRAI timer *)
+}
 
 type t
 
-val create :
-  Engine.Sim.t ->
-  rng:Engine.Rng.t ->
-  config:Config.t ->
-  name:string ->
-  send:(Message.update -> unit) ->
-  t
+val create : ?pace:pace -> batch -> rank:int -> send:(Message.update -> unit) -> t
+(** A queue flushed by [batch] at position [rank] (ranks are unique per
+    batch: peer ASN for router peers, configuration order for speaker
+    sessions).  Without [pace] the queue never arms a timer, draws no
+    jitter and registers or counts no metric. *)
 
 val enqueue_announce : t -> Net.Ipv4.prefix -> Attrs.t -> unit
 
 val enqueue_withdraw : t -> Net.Ipv4.prefix -> unit
 
-val set_on_dirty : t -> (unit -> unit) -> unit
-(** Called (at most once per event) when the first change of a scheduler
-    event is enqueued.  The owner records this instance as dirty and calls
-    {!flush_event} at end of event, so all changes of one event leave as a
-    single packed UPDATE.  Without a hook, every enqueue flushes
-    immediately (the pre-batching behavior). *)
-
-val flush_event : t -> unit
-(** End-of-event flush: emit all enqueued changes as one UPDATE.  While
-    the MRAI timer runs, only exempt withdrawals are sent (pending changes
-    stay for timer expiry); the timer is armed only when throttle-subject
-    changes were flushed.  Never crosses an MRAI boundary. *)
-
 val pending_count : t -> int
 
-val flushes : t -> int
-(** UPDATE messages emitted so far. *)
-
 val is_throttled : t -> bool
-(** True while the MRAI timer is running. *)
+(** True while the MRAI timer is running (never for an unpaced queue). *)
 
 val reset : t -> unit
 (** Drop pending changes and stop the timer (session reset). *)
 
 type state
-(** Opaque checkpoint of the pending set, armed expiry and jitter-stream
-    position. *)
+(** Opaque checkpoint of the pending set and, for a paced queue, its
+    armed expiry and jitter-stream position. *)
 
 val state : t -> state
 
 val restore : t -> state -> unit
-(** Reinstall [state] into an instance created with the same config:
+(** Reinstall [state] into a queue created with the same pacing:
     re-arms the timer at its recorded absolute expiry. *)

@@ -66,11 +66,10 @@ type t = {
   tm : telemetry;
   mutable on_best_change : (Net.Ipv4.prefix -> Route.t option -> unit) array;
   (* Update batching: every entry point that can enqueue outbound changes
-     runs inside a batch scope; peers whose MRAI state went dirty during
-     the scope are flushed once, in ascending ASN order, when the
+     runs inside this scope; peers whose queue went dirty during it are
+     flushed once, in ascending ASN order (each queue's rank), when the
      outermost scope closes — one packed UPDATE per peer per event. *)
-  mutable batch_depth : int;
-  mutable batch_dirty : peer list;
+  batch : Mrai.batch;
   sessions : peer Session.owner;
 }
 
@@ -112,21 +111,7 @@ let send_message t peer msg =
   end;
   sent
 
-let flush_batch t =
-  let dirty = t.batch_dirty in
-  t.batch_dirty <- [];
-  let dirty =
-    List.sort_uniq (fun a b -> Net.Asn.compare a.peer_asn b.peer_asn) dirty
-  in
-  List.iter (fun p -> Mrai.flush_event p.mrai) dirty
-
-let with_batch t f =
-  t.batch_depth <- t.batch_depth + 1;
-  Fun.protect
-    ~finally:(fun () ->
-      t.batch_depth <- t.batch_depth - 1;
-      if t.batch_depth = 0 then flush_batch t)
-    f
+let with_batch t f = Mrai.with_batch t.batch f
 
 let add_peer t ~peer_asn ~peer_node ~policy =
   if Net.Asn.Map.mem peer_asn t.peers then
@@ -139,15 +124,16 @@ let add_peer t ~peer_asn ~peer_node ~policy =
       ignore (send_message t p (Message.Update update))
     | Some _ | None -> ()
   in
-  let mrai =
-    Mrai.create t.sim ~rng:(Engine.Rng.split t.rng) ~config:t.config
-      ~name:(Fmt.str "%a-mrai-%a" Net.Asn.pp t.asn Net.Asn.pp peer_asn)
-      ~send:send_update
+  let pace =
+    {
+      Mrai.sim = t.sim;
+      rng = Engine.Rng.split t.rng;
+      config = t.config;
+      name = Fmt.str "%a-mrai-%a" Net.Asn.pp t.asn Net.Asn.pp peer_asn;
+    }
   in
+  let mrai = Mrai.create ~pace t.batch ~rank:(Net.Asn.to_int peer_asn) ~send:send_update in
   let peer = { peer_asn; peer_node; policy; session = Session.create (); mrai } in
-  Mrai.set_on_dirty mrai (fun () ->
-      if t.batch_depth > 0 then t.batch_dirty <- peer :: t.batch_dirty
-      else Mrai.flush_event mrai);
   t.peers <- Net.Asn.Map.add peer_asn peer t.peers;
   Hashtbl.replace t.peer_of_node peer_node peer;
   (* Session-state gauge, sampled at scrape time. *)
@@ -562,8 +548,7 @@ let create ?damping ~sim ~asn ~node_id ~router_id ~config ~send () =
         };
       tm;
       on_best_change = [||];
-      batch_depth = 0;
-      batch_dirty = [];
+      batch = Mrai.batch ();
       sessions;
     }
   and sessions =

@@ -7,17 +7,17 @@
    member's border switch (Switch.handle_control forwards them out).
 
    The speaker keeps a per-session Adj-RIB-Out so the controller's
-   (re)announcements are deduplicated, and optionally paces announcements
-   with an MRAI like a conventional BGP implementation would (off by
-   default — ExaBGP emits updates as instructed; the controller's delayed
-   recomputation is the rate limiter).  Each session's FSM, hold
-   negotiation and keepalive/hold liveness are [Bgp.Session]'s, as for a
-   router peer. *)
+   (re)announcements are deduplicated.  Each session sends through a
+   [Bgp.Mrai] queue, as a router peer does, and all of them share one
+   batch scope: a controller recomputation leaves as one packed UPDATE
+   per session, sessions in configuration order.  The queue is unpaced
+   by default — ExaBGP emits updates as instructed; the controller's
+   delayed recomputation is the rate limiter — and paced like a
+   conventional BGP implementation's when a session is given an MRAI
+   config.  Each session's FSM, hold negotiation and keepalive/hold
+   liveness are [Bgp.Session]'s, as for a router peer. *)
 
-module Pm = Net.Ipv4.Prefix_map
 module Pt = Net.Ipv4.Prefix_table
-
-type pending = Pend_announce of Bgp.Attrs.t | Pend_withdraw
 
 type session_key = Net.Asn.t * Net.Asn.t (* member, neighbor *)
 
@@ -27,12 +27,7 @@ type session = {
   member_addr : Net.Ipv4.addr;
   session : Bgp.Session.t;
   adj_out : Bgp.Attrs.t Pt.t;
-  mrai : Bgp.Mrai.t option;
-  (* Non-MRAI sessions buffer changes here within a batch scope; the
-     scope close emits them as one packed UPDATE (latest state per
-     prefix).  Always empty between scheduler events. *)
-  mutable pending : pending Pm.t;
-  mutable dirty : bool;
+  mrai : Bgp.Mrai.t;
 }
 
 type t = {
@@ -45,10 +40,7 @@ type t = {
   mutable on_update :
     member:Net.Asn.t -> neighbor:Net.Asn.t -> Bgp.Message.update -> unit;
   mutable on_session : member:Net.Asn.t -> neighbor:Net.Asn.t -> up:bool -> unit;
-  (* Update batching, mirroring Router: controller-driven announcement
-     bursts within one scheduler event leave as one UPDATE per session. *)
-  mutable batch_depth : int;
-  mutable any_dirty : bool;
+  batch : Bgp.Mrai.batch;
   sessions_owner : session Bgp.Session.owner;
 }
 
@@ -93,68 +85,34 @@ let add_session ?(mrai_config : Bgp.Config.t option) t ~member ~neighbor ~member
   if Hashtbl.mem t.sessions key then
     invalid_arg
       (Fmt.str "Speaker.add_session: duplicate %a/%a" Net.Asn.pp member Net.Asn.pp neighbor);
-  let self = ref None in
-  let mrai =
+  let pace =
     Option.map
       (fun config ->
-        Bgp.Mrai.create t.sim ~rng:(Engine.Rng.split t.rng) ~config
-          ~name:(Fmt.str "speaker-mrai-%a-%a" Net.Asn.pp member Net.Asn.pp neighbor)
-          ~send:(fun update ->
-            match !self with
-            | Some s when Bgp.Session.established s.session ->
-              send_wire t s (Bgp.Message.Update update)
-            | Some _ | None -> ()))
+        {
+          Bgp.Mrai.sim = t.sim;
+          rng = Engine.Rng.split t.rng;
+          config;
+          name = Fmt.str "speaker-mrai-%a-%a" Net.Asn.pp member Net.Asn.pp neighbor;
+        })
       mrai_config
   in
+  let self = ref None in
+  let send update =
+    match !self with
+    | Some s when Bgp.Session.established s.session -> send_wire t s (Bgp.Message.Update update)
+    | Some _ | None -> ()
+  in
+  (* Ranked by configuration order: the batch flushes sessions in it. *)
+  let mrai = Bgp.Mrai.create ?pace t.batch ~rank:(Hashtbl.length t.sessions) ~send in
   let s =
     { member; neighbor; member_addr; session = Bgp.Session.create (); adj_out = Pt.create ();
-      mrai; pending = Pm.empty; dirty = false }
+      mrai }
   in
   self := Some s;
-  Option.iter
-    (fun m ->
-      Bgp.Mrai.set_on_dirty m (fun () ->
-          if t.batch_depth > 0 then begin
-            s.dirty <- true;
-            t.any_dirty <- true
-          end
-          else Bgp.Mrai.flush_event m))
-    mrai;
   Hashtbl.replace t.sessions key s;
   t.session_order <- s :: t.session_order
 
-(* End-of-scope flush, in configuration order. *)
-let flush_session t (s : session) =
-  s.dirty <- false;
-  (match s.mrai with Some m -> Bgp.Mrai.flush_event m | None -> ());
-  if not (Pm.is_empty s.pending) then begin
-    let announced, withdrawn =
-      Pm.fold
-        (fun prefix p (ann, wd) ->
-          match p with
-          | Pend_announce attrs -> ((prefix, attrs) :: ann, wd)
-          | Pend_withdraw -> (ann, prefix :: wd))
-        s.pending ([], [])
-    in
-    s.pending <- Pm.empty;
-    if Bgp.Session.established s.session then
-      send_wire t s
-        (Bgp.Message.update ~announced:(List.rev announced) ~withdrawn:(List.rev withdrawn) ())
-  end
-
-let flush_batch t =
-  if t.any_dirty then begin
-    t.any_dirty <- false;
-    iter_configured t (fun s -> if s.dirty then flush_session t s)
-  end
-
-let with_batch t f =
-  t.batch_depth <- t.batch_depth + 1;
-  Fun.protect
-    ~finally:(fun () ->
-      t.batch_depth <- t.batch_depth - 1;
-      if t.batch_depth = 0 then flush_batch t)
-    f
+let with_batch t f = Bgp.Mrai.with_batch t.batch f
 
 let open_session t ~member ~neighbor =
   match find t ~member ~neighbor with
@@ -171,9 +129,7 @@ let session_down t ~member ~neighbor =
   | Some s ->
     if Bgp.Session.down s.session then begin
       Pt.clear s.adj_out;
-      s.pending <- Pm.empty;
-      s.dirty <- false;
-      Option.iter Bgp.Mrai.reset s.mrai;
+      Bgp.Mrai.reset s.mrai;
       t.on_session ~member ~neighbor ~up:false
     end
 
@@ -205,31 +161,16 @@ let announce t ~member ~neighbor prefix attrs =
   | Some s -> (
     match Pt.find prefix s.adj_out with
     | Some prev when Bgp.Attrs.wire_equal prev attrs -> ()
-    | Some _ | None -> (
+    | Some _ | None ->
       Pt.set prefix attrs s.adj_out;
-      match s.mrai with
-      | Some m -> Bgp.Mrai.enqueue_announce m prefix attrs
-      | None when t.batch_depth > 0 ->
-        s.pending <- Pm.add prefix (Pend_announce attrs) s.pending;
-        s.dirty <- true;
-        t.any_dirty <- true
-      | None ->
-        send_wire t s (Bgp.Message.update ~announced:[ (prefix, attrs) ] ())))
+      Bgp.Mrai.enqueue_announce s.mrai prefix attrs)
 
 let withdraw t ~member ~neighbor prefix =
   match find t ~member ~neighbor with
   | None -> ()
   | Some s when not (Bgp.Session.established s.session) -> ()
   | Some s ->
-    if Pt.remove prefix s.adj_out then begin
-      match s.mrai with
-      | Some m -> Bgp.Mrai.enqueue_withdraw m prefix
-      | None when t.batch_depth > 0 ->
-        s.pending <- Pm.add prefix Pend_withdraw s.pending;
-        s.dirty <- true;
-        t.any_dirty <- true
-      | None -> send_wire t s (Bgp.Message.update ~withdrawn:[ prefix ] ())
-    end
+    if Pt.remove prefix s.adj_out then Bgp.Mrai.enqueue_withdraw s.mrai prefix
 
 let advertised t ~member ~neighbor prefix =
   Option.bind (find t ~member ~neighbor) (fun s -> Pt.find prefix s.adj_out)
@@ -240,7 +181,7 @@ type Engine.Node.blob +=
   | Speaker_state of
       Engine.Rng.t
       * (session_key * Bgp.Session.checkpoint * (Net.Ipv4.prefix * Bgp.Attrs.t) list
-        * Bgp.Mrai.state option)
+        * Bgp.Mrai.state)
         list
 
 let snapshot t =
@@ -250,7 +191,7 @@ let snapshot t =
         ( (s.member, s.neighbor),
           Bgp.Session.checkpoint s.session,
           Pt.entries s.adj_out,
-          Option.map Bgp.Mrai.state s.mrai ))
+          Bgp.Mrai.state s.mrai ))
       t.session_order
   in
   Speaker_state (Engine.Rng.copy t.rng, sessions)
@@ -265,7 +206,7 @@ let restore t = function
         | Some s ->
           Pt.clear s.adj_out;
           List.iter (fun (p, a) -> Pt.set p a s.adj_out) adj_out;
-          (match (s.mrai, mrai) with Some m, Some st -> Bgp.Mrai.restore m st | _ -> ());
+          Bgp.Mrai.restore s.mrai mrai;
           Bgp.Session.restore t.sessions_owner s session)
       sessions
   | _ -> invalid_arg "Speaker.restore: foreign snapshot blob"
@@ -280,9 +221,7 @@ let on_crashed t =
     (fun _ s ->
       Bgp.Session.reset s.session;
       Pt.clear s.adj_out;
-      s.pending <- Pm.empty;
-      s.dirty <- false;
-      Option.iter Bgp.Mrai.reset s.mrai)
+      Bgp.Mrai.reset s.mrai)
     t.sessions
 
 (* Restart: NOTIFICATION-then-OPEN on every configured session, so the
@@ -306,8 +245,7 @@ let create ?liveness ~sim ~send_relay () =
       session_order = [];
       on_update = (fun ~member:_ ~neighbor:_ _ -> ());
       on_session = (fun ~member:_ ~neighbor:_ ~up:_ -> ());
-      batch_depth = 0;
-      any_dirty = false;
+      batch = Bgp.Mrai.batch ();
       sessions_owner;
     }
   (* No [reconnect]: like ExaBGP, the speaker waits for the neighbour's

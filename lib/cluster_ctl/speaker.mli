@@ -1,6 +1,7 @@
 (** The cluster BGP speaker: terminates cluster members' external eBGP
     peerings (preserving AS identity), relays updates to/from the
-    controller, deduplicates announcements per session. *)
+    controller, deduplicates announcements per session and sends them
+    through one {!Bgp.Mrai} queue per session. *)
 
 type t
 
@@ -34,8 +35,11 @@ val add_session :
   neighbor:Net.Asn.t ->
   member_addr:Net.Ipv4.addr ->
   unit
-(** Configure one external peering.  [mrai_config] enables conventional
-    MRAI pacing of the speaker's announcements (off by default). *)
+(** Configure one external peering.  Its UPDATEs go through a
+    {!Bgp.Mrai} queue ranked by configuration order.  Without
+    [mrai_config] the queue is unpaced — it only packs each event's
+    changes, as ExaBGP relays the controller's routes at once — and with
+    it the queue runs conventional MRAI pacing, as a router peer's does. *)
 
 val sessions : t -> (Net.Asn.t * Net.Asn.t) list
 (** (member, neighbor) pairs in configuration order. *)
@@ -57,11 +61,11 @@ val session_down : t -> member:Net.Asn.t -> neighbor:Net.Asn.t -> unit
 val handle_relay : t -> member:Net.Asn.t -> neighbor:Net.Asn.t -> Bgp.Message.t -> unit
 
 val with_batch : t -> (unit -> 'a) -> 'a
-(** Run [f] in an update-batching scope: announcements/withdrawals issued
-    inside it coalesce per session and leave as one packed UPDATE per
-    session when the outermost scope closes (sessions flushed in
-    configuration order).  Outside any scope each change is sent
-    immediately, as before. *)
+(** Run [f] in the speaker's batch scope ({!Bgp.Mrai.with_batch}):
+    announcements/withdrawals issued inside it coalesce per session and
+    leave as one packed UPDATE per session when the outermost scope
+    closes, sessions in configuration order.  Outside any scope an
+    unpaced session sends each change at once. *)
 
 val announce : t -> member:Net.Asn.t -> neighbor:Net.Asn.t -> Net.Ipv4.prefix -> Bgp.Attrs.t -> unit
 (** Advertise (deduplicated against the session's Adj-RIB-Out). *)

@@ -89,8 +89,8 @@ val schedule_after :
 
 val on_wake : t -> (unit -> unit) -> unit
 (** [f] runs whenever the event queue transitions from empty to non-empty
-    — the hook periodic services (e.g. {!Sampler}) use to resume after the
-    simulation has drained and new work arrives. *)
+    — the hook periodic services (e.g. the telemetry sink's sampling) use
+    to resume after the simulation has drained and new work arrives. *)
 
 val cancel : handle -> unit
 

@@ -1,12 +1,19 @@
 (* Exportable convergence timelines.
 
-   A sink couples a periodic Engine.Sampler to an output file: every
-   sampling interval of *simulated* time it snapshots the sim's whole
-   metrics registry, and [finish] appends a final snapshot (the settled
+   A sink samples the sim's whole metrics registry every interval of
+   *simulated* time, and [finish] appends a final snapshot (the settled
    state) and writes the file in the format implied by its extension.
    Because snapshots contain only simulated-time-driven series (wall-clock
    profiling lives outside the registry), identical seeds produce
-   byte-identical files. *)
+   byte-identical files.
+
+   The tricky part of sampling is termination: experiments run the
+   scheduler until the queue drains (Network.settle), so an
+   unconditionally self-rescheduling tick would keep the queue non-empty
+   forever.  A tick that finds nothing else queued — the simulation has
+   converged — therefore goes dormant, and Sim.on_wake resumes sampling
+   when new work arrives (the next measurement phase of the same
+   experiment). *)
 
 type format = Prometheus | Jsonl | Csv
 
@@ -28,28 +35,48 @@ type t = {
   sim : Engine.Sim.t;
   path : string;
   format : format;
+  interval : Engine.Time.span;
   mutable snapshots : Engine.Metrics.snapshot list; (* newest first *)
-  mutable sampler : Engine.Sampler.t option;
-  mutable finished : bool;
+  mutable dormant : bool;
+  mutable finished : bool; (* also stops sampling *)
 }
 
 let default_interval = Engine.Time.sec 1
 
+let snapshot_now t =
+  Engine.Metrics.snapshot (Engine.Sim.metrics t.sim) ~at:(Engine.Sim.now t.sim)
+
+let rec tick t () =
+  if not t.finished then begin
+    t.snapshots <- snapshot_now t :: t.snapshots;
+    (* Our own event has been popped already: pending > 0 means real work
+       remains, so the timeline should keep sampling. *)
+    if Engine.Sim.pending t.sim > 0 then arm t else t.dormant <- true
+  end
+
+and arm t =
+  ignore (Engine.Sim.schedule_after ~category:"telemetry.sample" t.sim t.interval (tick t))
+
 let create ?(interval = default_interval) ~sim ~path () =
+  if Engine.Time.to_us interval <= 0 then
+    invalid_arg "Telemetry.create: interval must be positive";
   let t =
     {
       sim;
       path;
       format = format_of_path path;
+      interval;
       snapshots = [];
-      sampler = None;
+      dormant = false;
       finished = false;
     }
   in
-  t.sampler <-
-    Some
-      (Engine.Sampler.start sim ~interval ~on_sample:(fun snap ->
-           t.snapshots <- snap :: t.snapshots));
+  Engine.Sim.on_wake sim (fun () ->
+      if (not t.finished) && t.dormant then begin
+        t.dormant <- false;
+        arm t
+      end);
+  arm t;
   t
 
 let snapshots t = List.rev t.snapshots
@@ -73,10 +100,7 @@ let render t =
 let close t =
   if not t.finished then begin
     t.finished <- true;
-    Option.iter Engine.Sampler.stop t.sampler;
-    let final =
-      Engine.Metrics.snapshot (Engine.Sim.metrics t.sim) ~at:(Engine.Sim.now t.sim)
-    in
+    let final = snapshot_now t in
     (* Skip the duplicate when the last periodic sample already landed on
        the final instant. *)
     match t.snapshots with

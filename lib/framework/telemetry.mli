@@ -1,8 +1,13 @@
-(** Exportable convergence timelines: a periodic {!Engine.Sampler} feeding
-    a metrics file in Prometheus, JSONL or CSV format.
+(** Exportable convergence timelines: periodic snapshots of
+    {!Engine.Sim.metrics} feeding a metrics file in Prometheus, JSONL or
+    CSV format.
 
     Snapshots are driven purely by simulated time, so identical seeds
-    produce byte-identical export files. *)
+    produce byte-identical export files.  Sampling re-arms only while
+    other events remain queued, so it never prevents a run-to-exhaustion
+    ([Sim.run] / [Network.settle]) from terminating; it goes dormant when
+    the queue drains and resumes (via {!Engine.Sim.on_wake}) when new work
+    is scheduled. *)
 
 type format = Prometheus | Jsonl | Csv
 
@@ -18,14 +23,16 @@ val default_interval : Engine.Time.span
 (** One simulated second. *)
 
 val create : ?interval:Engine.Time.span -> sim:Engine.Sim.t -> path:string -> unit -> t
-(** Start sampling [sim]'s registry every [interval] of simulated time.
-    Nothing is written until {!finish}. *)
+(** Start sampling [sim]'s registry every [interval] of simulated time;
+    the first sample fires one [interval] after the current instant.
+    Nothing is written until {!finish}.
+    @raise Invalid_argument if [interval] is not positive. *)
 
 val snapshots : t -> Engine.Metrics.snapshot list
 (** Collected so far, oldest first. *)
 
 val close : t -> unit
-(** Stop sampling and append the final settled-state snapshot.  The first
+(** Stop sampling for good and append the final settled-state snapshot.  The first
     call wins; every later {!close}/{!finish} leaves the snapshot list
     untouched, so double-finish can never duplicate the final snapshot. *)
 

@@ -114,33 +114,13 @@ let clear t =
   t.rules <- [||];
   t.generation <- t.generation + 1
 
-let lookup t addr =
-  (* Sorted by (priority desc, length desc): the first match is the
-     winner, and equal-length prefixes are disjoint, so no later rule of
-     the same rank can also match. *)
-  let n = Array.length t.rules in
-  let rec scan i =
-    if i >= n then None
-    else begin
-      let r = t.rules.(i) in
-      if Flow.matches r addr then Some r else scan (i + 1)
-    end
-  in
-  match scan 0 with
-  | None ->
-    t.misses <- t.misses + 1;
-    Option.iter Engine.Metrics.Counter.inc t.misses_c;
-    None
-  | Some best ->
-    best.Flow.packets <- best.Flow.packets + 1;
-    Some best
-
-(* Index of the winning rule for an address, [-1] on a miss.  Unlike
-   [lookup] this neither boxes the result nor mutates anything (no
-   [packets]/[misses] bump, no metric), so verifiers and the data-plane
-   fast path can interrogate a table without perturbing its counters.
-   Matching is pure int arithmetic on the prefix bits: [Int32.to_int] is
-   an immediate read, so the scan allocates nothing. *)
+(* Index of the winning rule for an address, [-1] on a miss.  Sorted by
+   (priority desc, length desc): the first match is the winner, and
+   equal-length prefixes are disjoint, so no later rule of the same rank
+   can also match.  Matching is pure int arithmetic on the prefix bits:
+   [Int32.to_int] is an immediate read, so the scan allocates nothing.
+   Nothing is mutated here (no [packets]/[misses] bump, no metric), so
+   verifiers can interrogate a table without perturbing its counters. *)
 let lookup_idx t addr_bits =
   let rules = t.rules in
   let n = Array.length rules in
@@ -154,6 +134,18 @@ let lookup_idx t addr_bits =
     end
   in
   scan 0
+
+(* The counting lookup: the same scan, plus the packet/miss counters. *)
+let lookup t addr =
+  match lookup_idx t (Net.Ipv4.addr_to_bits addr) with
+  | -1 ->
+    t.misses <- t.misses + 1;
+    Option.iter Engine.Metrics.Counter.inc t.misses_c;
+    None
+  | i ->
+    let best = t.rules.(i) in
+    best.Flow.packets <- best.Flow.packets + 1;
+    Some best
 
 let nth_rule t i = t.rules.(i)
 

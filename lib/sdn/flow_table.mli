@@ -41,7 +41,8 @@ val mem_physical : t -> Flow.rule -> bool
 val clear : t -> unit
 
 val lookup : t -> Net.Ipv4.addr -> Flow.rule option
-(** Winning rule for the address; bumps its packet counter. *)
+(** Winning rule for the address ({!lookup_idx}'s scan); bumps its
+    packet counter, or the table's miss counter on a miss. *)
 
 val lookup_idx : t -> int -> int
 (** [lookup_idx t bits] is the index (into the sorted rule array, see

@@ -1,6 +1,6 @@
-(* Engine.Metrics, Engine.Sampler and Framework.Telemetry: primitive
-   semantics, label canonicalization, snapshot immutability, exporter
-   goldens, Prometheus round-trip, and the determinism guarantee (same
+(* Engine.Metrics and Framework.Telemetry: primitive semantics, label
+   canonicalization, snapshot immutability, exporter goldens, Prometheus
+   round-trip, timeline sampling, and the determinism guarantee (same
    seed => byte-identical exports). *)
 
 open Engine
@@ -183,29 +183,30 @@ let test_log_buckets () =
   Alcotest.(check (array (float 1e-12))) "geometric bounds"
     [| 0.001; 0.002; 0.004; 0.008 |] b
 
-(* The sampler must never keep the queue alive on its own, and must
-   resume when new work arrives after a drain. *)
-let test_sampler_dormant_and_resume () =
+(* Telemetry sampling must never keep the queue alive on its own, must
+   resume when new work arrives after a drain, and must stop for good
+   once the sink is closed. *)
+let test_telemetry_dormant_and_resume () =
   let sim = Sim.create () in
-  let seen = ref 0 in
-  let sampler =
-    Sampler.start sim ~interval:(Time.ms 10) ~on_sample:(fun _ -> incr seen)
+  let sink =
+    Framework.Telemetry.create ~interval:(Time.ms 10) ~sim ~path:"unwritten.jsonl" ()
   in
+  let seen () = List.length (Framework.Telemetry.snapshots sink) in
   ignore (Sim.schedule_at sim (Time.ms 25) ignore);
   (match Sim.run sim with
   | Sim.Exhausted -> ()
-  | _ -> Alcotest.fail "sampler must not prevent queue exhaustion");
-  let after_first = !seen in
+  | _ -> Alcotest.fail "sampling must not prevent queue exhaustion");
+  let after_first = seen () in
   Alcotest.(check bool) "sampled during first phase" true (after_first >= 2);
   (* New work after the drain: the on_wake hook must re-arm sampling. *)
   ignore (Sim.schedule_after sim (Time.ms 30) ignore);
   ignore (Sim.run sim);
-  Alcotest.(check bool) "resumed after wake" true (!seen > after_first);
-  Sampler.stop sampler;
+  Alcotest.(check bool) "resumed after wake" true (seen () > after_first);
+  Framework.Telemetry.close sink;
   ignore (Sim.schedule_after sim (Time.ms 30) ignore);
-  let before = !seen in
+  let before = seen () in
   ignore (Sim.run sim);
-  Alcotest.(check int) "stopped sampler stays quiet" before !seen
+  Alcotest.(check int) "closed sink stays quiet" before (seen ())
 
 let test_sim_category_counters () =
   let sim = Sim.create () in
@@ -272,7 +273,7 @@ let suite =
     Alcotest.test_case "csv golden" `Quick test_csv_golden;
     Alcotest.test_case "prometheus round-trip" `Quick test_prometheus_roundtrip;
     Alcotest.test_case "log bucket bounds" `Quick test_log_buckets;
-    Alcotest.test_case "sampler dormant + resume" `Quick test_sampler_dormant_and_resume;
+    Alcotest.test_case "telemetry dormant+resume" `Quick test_telemetry_dormant_and_resume;
     Alcotest.test_case "sim category counters" `Quick test_sim_category_counters;
     Alcotest.test_case "same seed, byte-identical export" `Quick
       test_same_seed_byte_identical;

@@ -1,5 +1,6 @@
 (* Bgp.Mrai: pacing semantics — immediate first send, coalescing while
-   throttled, withdrawal exemption, reset. *)
+   throttled, withdrawal exemption, reset — and the batch scope shared
+   by paced and unpaced queues. *)
 
 open Engine
 
@@ -16,8 +17,11 @@ let config ?(on_withdrawals = true) () =
 let setup ?on_withdrawals () =
   let sim = Sim.create () in
   let sent = ref [] in
+  let pace =
+    { Bgp.Mrai.sim; rng = Rng.create 1; config = config ?on_withdrawals (); name = "test" }
+  in
   let mrai =
-    Bgp.Mrai.create sim ~rng:(Rng.create 1) ~config:(config ?on_withdrawals ()) ~name:"test"
+    Bgp.Mrai.create ~pace (Bgp.Mrai.batch ()) ~rank:0
       ~send:(fun u -> sent := (Sim.now sim, u) :: !sent)
   in
   (sim, mrai, sent)
@@ -112,6 +116,70 @@ let test_announce_overrides_pending_withdraw () =
     Alcotest.(check int) "no withdrawal left" 0 (List.length flush.Bgp.Message.withdrawn)
   | l -> Alcotest.failf "expected 2 updates, got %d" (List.length l)
 
+let show (u : Bgp.Message.update) =
+  Fmt.str "+[%s] -[%s]"
+    (String.concat " " (List.map (fun (q, _) -> Net.Ipv4.prefix_to_string q) u.announced))
+    (String.concat " " (List.map Net.Ipv4.prefix_to_string u.withdrawn))
+
+(* A queue without pacing only packs: each change goes out at once
+   outside a scope, one UPDATE per scope inside one (latest state per
+   prefix, ascending), and it never arms a timer, draws from a stream or
+   registers a series. *)
+let test_unpaced_packs_only () =
+  let sim = Sim.create () in
+  let batch = Bgp.Mrai.batch () in
+  let sent = ref [] in
+  let mrai = Bgp.Mrai.create batch ~rank:0 ~send:(fun u -> sent := show u :: !sent) in
+  Bgp.Mrai.enqueue_announce mrai (p "100.64.0.0/24") (attrs ());
+  Bgp.Mrai.enqueue_announce mrai (p "100.64.1.0/24") (attrs ());
+  Alcotest.(check (list string)) "each change at once"
+    [ "+[100.64.0.0/24] -[]"; "+[100.64.1.0/24] -[]" ]
+    (List.rev !sent);
+  Alcotest.(check bool) "never throttled" false (Bgp.Mrai.is_throttled mrai);
+  sent := [];
+  Bgp.Mrai.with_batch batch (fun () ->
+      Bgp.Mrai.enqueue_announce mrai (p "100.64.3.0/24") (attrs ());
+      Bgp.Mrai.enqueue_withdraw mrai (p "100.64.0.0/24");
+      Bgp.Mrai.enqueue_announce mrai (p "100.64.2.0/24") (attrs ~med:1 ());
+      Bgp.Mrai.enqueue_withdraw mrai (p "100.64.2.0/24");
+      Bgp.Mrai.enqueue_announce mrai (p "100.64.2.0/24") (attrs ~med:2 ());
+      Alcotest.(check int) "held until the scope closes" 0 (List.length !sent));
+  Alcotest.(check (list string)) "one packed UPDATE"
+    [ "+[100.64.2.0/24 100.64.3.0/24] -[100.64.0.0/24]" ]
+    !sent;
+  Alcotest.(check int) "no event scheduled" 0 (Sim.pending sim);
+  let snap = Metrics.snapshot (Sim.metrics sim) ~at:(Sim.now sim) in
+  Alcotest.(check (option (float 0.0))) "no flush series" None
+    (Metrics.value snap "bgp_mrai_flushes_total")
+
+(* Nested scopes flush once, at the outermost close, in ascending rank
+   whatever order the queues were created or dirtied in; a paced queue's
+   first change rides the same flush. *)
+let test_batch_rank_order () =
+  let sim = Sim.create () in
+  let batch = Bgp.Mrai.batch () in
+  let sent = ref [] in
+  let queue ?pace rank =
+    Bgp.Mrai.create ?pace batch ~rank ~send:(fun u -> sent := (rank, show u) :: !sent)
+  in
+  let pace = { Bgp.Mrai.sim; rng = Rng.create 1; config = config (); name = "test" } in
+  let q30 = queue 30 and q10 = queue ~pace 10 and q20 = queue 20 in
+  Bgp.Mrai.with_batch batch (fun () ->
+      Bgp.Mrai.enqueue_announce q20 (p "100.64.2.0/24") (attrs ());
+      Bgp.Mrai.with_batch batch (fun () ->
+          Bgp.Mrai.enqueue_announce q30 (p "100.64.3.0/24") (attrs ());
+          Bgp.Mrai.enqueue_announce q10 (p "100.64.1.0/24") (attrs ()));
+      Alcotest.(check int) "inner close flushes nothing" 0 (List.length !sent);
+      Bgp.Mrai.enqueue_announce q20 (p "100.64.4.0/24") (attrs ()));
+  Alcotest.(check (list (pair int string))) "one UPDATE per queue, ascending rank"
+    [
+      (10, "+[100.64.1.0/24] -[]");
+      (20, "+[100.64.2.0/24 100.64.4.0/24] -[]");
+      (30, "+[100.64.3.0/24] -[]");
+    ]
+    (List.rev !sent);
+  Alcotest.(check bool) "the paced queue armed its timer" true (Bgp.Mrai.is_throttled q10)
+
 let suite =
   [
     Alcotest.test_case "first send immediate" `Quick test_first_immediate;
@@ -122,4 +190,6 @@ let suite =
     Alcotest.test_case "reset" `Quick test_reset;
     Alcotest.test_case "announce overrides pending withdraw" `Quick
       test_announce_overrides_pending_withdraw;
+    Alcotest.test_case "unpaced queue only packs" `Quick test_unpaced_packs_only;
+    Alcotest.test_case "batch flushes in ascending rank" `Quick test_batch_rank_order;
   ]

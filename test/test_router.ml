@@ -25,9 +25,10 @@ type harness = {
 
 let make_harness () = { sim = Sim.create ~seed:5 (); handlers = Hashtbl.create 8; routers = [] }
 
-let add_router ?damping ?(config = fast_config) h n =
+let add_router ?damping ?(config = fast_config) ?(on_send = fun ~dst:_ _ -> ()) h n =
   let node_id = n in
   let send ~dst msg =
+    on_send ~dst msg;
     match Hashtbl.find_opt h.handlers dst with
     | None -> false
     | Some handler ->
@@ -326,6 +327,24 @@ let test_stats_counted () =
   Alcotest.(check bool) "b received updates" true (sb.Bgp.Router.msgs_in > 0);
   Alcotest.(check bool) "b changed best" true (sb.Bgp.Router.best_changes > 0)
 
+(* One batch scope flushes its dirty peers in ascending peer ASN,
+   whatever order the peers were configured in. *)
+let test_batch_flush_order () =
+  let h = make_harness () in
+  let updates_to = ref [] in
+  let on_send ~dst = function
+    | Bgp.Message.Update _ -> updates_to := dst :: !updates_to
+    | _ -> ()
+  in
+  let a = add_router ~on_send h 65001 in
+  let peers = List.map (add_router h) [ 65004; 65002; 65003 ] in
+  List.iter (peer_pair a) peers;
+  List.iter Bgp.Router.start (a :: peers);
+  run h;
+  Bgp.Router.originate a (p "100.64.0.0/24");
+  Alcotest.(check (list int)) "one UPDATE per peer, ascending ASN" [ 65002; 65003; 65004 ]
+    (List.rev !updates_to)
+
 let suite =
   [
     Alcotest.test_case "session establishment" `Quick test_session_establishment;
@@ -343,4 +362,5 @@ let suite =
     Alcotest.test_case "refused export interns nothing" `Quick
       test_refused_export_interns_nothing;
     Alcotest.test_case "stats counted" `Quick test_stats_counted;
+    Alcotest.test_case "batch flushes peers in ascending ASN" `Quick test_batch_flush_order;
   ]

@@ -220,6 +220,136 @@ let test_speaker_negotiated_hold () =
       Alcotest.(check bool) (label ^ ": down just after it") false (up_at (expected + 1)))
     [ (9, 9); (30, 15) ]
 
+(* Batch scope: every change a session gets inside one scope leaves as
+   one packed UPDATE per session, sessions in configuration order (the
+   second session configured has the lower ASNs), prefixes ascending.
+   Outside a scope each change goes out at once.  With MRAI pacing only
+   the first change of an idle session goes out at once; the rest wait
+   for timer expiry. *)
+let test_batch_packs_one_update_per_session () =
+  let a_member = asn 65010 and a_neighbor = asn 65003 in
+  let b_member = asn 65009 and b_neighbor = asn 65002 in
+  let attrs = Bgp.Attrs.make ~as_path:[ a_member ] ~next_hop:nh () in
+  let show (m, n, (u : Bgp.Message.update)) =
+    Fmt.str "%d/%d +[%s] -[%s]" (Net.Asn.to_int m) (Net.Asn.to_int n)
+      (String.concat " " (List.map (fun (q, _) -> Net.Ipv4.prefix_to_string q) u.announced))
+      (String.concat " " (List.map Net.Ipv4.prefix_to_string u.withdrawn))
+  in
+  let run ?mrai_config () =
+    let sim = Engine.Sim.create ~seed:5 () in
+    let wire = ref [] in
+    let speaker =
+      Cluster_ctl.Speaker.create ~sim
+        ~send_relay:(fun ~member ~neighbor msg ->
+          (match msg with
+          | Bgp.Message.Update u -> wire := (member, neighbor, u) :: !wire
+          | _ -> ());
+          true)
+        ()
+    in
+    let module S = Cluster_ctl.Speaker in
+    List.iter
+      (fun (member, neighbor) ->
+        S.add_session ?mrai_config speaker ~member ~neighbor ~member_addr:nh;
+        S.handle_relay speaker ~member ~neighbor
+          (Bgp.Message.Open { asn = neighbor; router_id = nh; hold_time = 0 }))
+      [ (a_member, a_neighbor); (b_member, b_neighbor) ];
+    let sent () =
+      let l = List.rev_map show !wire in
+      wire := [];
+      l
+    in
+    S.announce speaker ~member:a_member ~neighbor:a_neighbor (p "10.0.0.0/24") attrs;
+    S.announce speaker ~member:a_member ~neighbor:a_neighbor (p "10.0.9.0/24") attrs;
+    let outside = sent () in
+    S.with_batch speaker (fun () ->
+        S.announce speaker ~member:a_member ~neighbor:a_neighbor (p "10.0.2.0/24") attrs;
+        S.announce speaker ~member:a_member ~neighbor:a_neighbor (p "10.0.1.0/24") attrs;
+        S.withdraw speaker ~member:a_member ~neighbor:a_neighbor (p "10.0.0.0/24");
+        S.announce speaker ~member:b_member ~neighbor:b_neighbor (p "10.0.3.0/24") attrs;
+        Alcotest.(check (list string)) "nothing leaves inside the scope" [] (sent ()));
+    let at_close = sent () in
+    ignore (Engine.Sim.run sim);
+    (outside, at_close, sent ())
+  in
+  let unpaced = run () in
+  Alcotest.(check (list string)) "unpaced: each change at once outside a scope"
+    [ "65010/65003 +[10.0.0.0/24] -[]"; "65010/65003 +[10.0.9.0/24] -[]" ]
+    (let o, _, _ = unpaced in o);
+  Alcotest.(check (list string)) "unpaced: one UPDATE per session at scope close"
+    [ "65010/65003 +[10.0.1.0/24 10.0.2.0/24] -[10.0.0.0/24]"; "65009/65002 +[10.0.3.0/24] -[]" ]
+    (let _, c, _ = unpaced in c);
+  Alcotest.(check (list string)) "unpaced: no timer traffic" [] (let _, _, l = unpaced in l);
+  let mrai_config =
+    Bgp.Config.no_jitter { Bgp.Config.default with Bgp.Config.mrai = Engine.Time.sec 10 }
+  in
+  let outside, at_close, later = run ~mrai_config () in
+  Alcotest.(check (list string)) "paced: only the first change goes out at once"
+    [ "65010/65003 +[10.0.0.0/24] -[]" ] outside;
+  Alcotest.(check (list string)) "paced: an idle session sends at scope close"
+    [ "65009/65002 +[10.0.3.0/24] -[]" ] at_close;
+  Alcotest.(check (list string)) "paced: the rest waits for timer expiry"
+    [ "65010/65003 +[10.0.1.0/24 10.0.2.0/24 10.0.9.0/24] -[10.0.0.0/24]" ] later
+
+(* Speaker pacing golden: a 10-clique whose last five ASes are SDN
+   members, driven through two announcements, a link failure, a
+   withdrawal and the link's recovery, under the three speaker modes
+   (unpaced, Quagga-paced, and paced with withdrawals exempt).  The
+   executed-event count and the collector and Prometheus digests are
+   pinned per seed, so any change to how the speaker's UPDATEs are
+   packed, paced or counted shows up here. *)
+let test_speaker_pacing_golden () =
+  let module N = Framework.Network in
+  let a = Topology.Artificial.asn in
+  let spec =
+    Topology.Spec.with_sdn (Topology.Artificial.clique 10) [ a 5; a 6; a 7; a 8; a 9 ]
+  in
+  let exempt =
+    Bgp.Config.no_jitter
+      { Bgp.Config.default with Bgp.Config.mrai = Engine.Time.sec 5; mrai_on_withdrawals = false }
+  in
+  let run speaker_mrai seed =
+    let net = N.create ~config:{ Framework.Config.default with speaker_mrai } ~seed spec in
+    N.start net;
+    let plan = N.plan net in
+    let prefix x = plan.Framework.Addressing.origin_prefix x in
+    N.originate net (a 0) (prefix (a 0));
+    N.originate net (a 1) (prefix (a 1));
+    ignore (N.settle net);
+    N.fail_link net (a 0) (a 7);
+    ignore (N.settle net);
+    N.withdraw net (a 1) (prefix (a 1));
+    ignore (N.settle net);
+    N.recover_link net (a 0) (a 7);
+    ignore (N.settle net);
+    let sim = N.sim net in
+    let snap = Engine.Metrics.snapshot (Engine.Sim.metrics sim) ~at:(Engine.Sim.now sim) in
+    let hex s = String.sub (Digest.to_hex (Digest.string s)) 0 12 in
+    Fmt.str "%d %s %s" (Engine.Sim.executed sim)
+      (hex (Bgp.Collector.dump (N.collector net)))
+      (hex (Engine.Metrics.to_prometheus snap))
+  in
+  let modes = [ ("unpaced", None); ("paced", Some Bgp.Config.default); ("exempt", Some exempt) ] in
+  let got =
+    List.concat_map
+      (fun (label, mode) ->
+        List.map (fun seed -> Fmt.str "%s/%d %s" label seed (run mode seed)) [ 1; 2; 3 ])
+      modes
+  in
+  Alcotest.(check (list string)) "events, collector and prometheus digests"
+    [
+      "unpaced/1 1085 41479df49b51 68a9cdc7076a";
+      "unpaced/2 1141 270c78b0a70b ff84eccc044e";
+      "unpaced/3 1142 49a3ddc54dbe a60158105171";
+      "paced/1 1201 f34e81f8cfa7 ca41335ed98e";
+      "paced/2 1257 0ae0710e107a 7e1b0afe0344";
+      "paced/3 1209 1d7524c2542d d54a48398c58";
+      "exempt/1 1167 1db629b17791 0e9678719efc";
+      "exempt/2 1235 0fb3dacbfea2 bf9ebef169e8";
+      "exempt/3 1227 5eb4884ae2bc 5ccbdcb59a1f";
+    ]
+    got
+
 let suite =
   [
     Alcotest.test_case "open handshake + AS identity" `Quick test_open_handshake_preserves_identity;
@@ -233,4 +363,7 @@ let suite =
     Alcotest.test_case "zero hold arms no timer" `Quick test_speaker_zero_hold_arms_nothing;
     Alcotest.test_case "negotiated hold is the smaller" `Quick test_speaker_negotiated_hold;
     Alcotest.test_case "add_session registration" `Quick test_add_session_registration;
+    Alcotest.test_case "batch packs one UPDATE per session" `Quick
+      test_batch_packs_one_update_per_session;
+    Alcotest.test_case "speaker pacing golden" `Quick test_speaker_pacing_golden;
   ]
